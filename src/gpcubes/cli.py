@@ -79,6 +79,12 @@ def _emit_json(data, out):
     _emit(json.dumps(data, sort_keys=True, indent=2, default=str) + "\n", out)
 
 
+def _radius(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("radius must be a nonnegative integer: %r" % text)
+    return int(text)
+
+
 def _add_common(sub):
     sub.add_argument("--graph", required=True, help="path to a graph file")
     sub.add_argument("--out", help="write output here instead of stdout")
@@ -110,13 +116,13 @@ def make_parser():
 
     p = subs.add_parser("build", help="materialize a ball of the complex")
     _add_common(p)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_radius, required=True)
     p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET)
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
     p = subs.add_parser("check", help="run every certificate on a ball")
     _add_common(p)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_radius, required=True)
     p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET)
 
     p = subs.add_parser(
@@ -125,7 +131,7 @@ def make_parser():
     _add_common(p)
     p.add_argument(
         "--radius",
-        type=int,
+        type=_radius,
         help="also certify the common-complex isomorphism on this ball",
     )
     p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET)
@@ -246,7 +252,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphParseError, UnknownGeneratorError, FileNotFoundError) as err:
+    except (
+        GraphParseError,
+        UnknownGeneratorError,
+        FileNotFoundError,
+        IsADirectoryError,
+    ) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except BudgetExceededError as err:

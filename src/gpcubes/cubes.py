@@ -16,17 +16,13 @@ predicate (all cofaces of the vertex exist inside the ball).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .groups import (
     DEFAULT_ELEMENT_BUDGET,
     GraphProduct,
     LabeledGraph,
     hat_base,
-    hat_name,
     hat_names,
 )
 
@@ -35,23 +31,19 @@ class NotInteriorError(ValueError):
     """A link or star query hit a vertex truncated by the ball boundary."""
 
 
+class SoundnessError(AssertionError):
+    """An invariant that a certificate's soundness rests on does not hold.
+
+    Raised explicitly rather than by assert, so that it is never skipped
+    under python -O."""
+
+
 def hat_graph(graph):
     """The doubled graph: edges pulled back from the base graph, with the two
     signed copies of an infinite generator never adjacent.  Vertex labels
     record the size of the standard subset."""
     names = hat_names(graph)
-    orders = {}
-    for name in names:
-        if name in graph.orders:
-            orders[name] = graph.orders[name]
-        else:
-            if name in orders:
-                raise ValueError("hat vertex name collides with a base vertex: %r" % name)
-            orders[name] = 2
-    for s in graph.infinite_vertices:
-        for tag in (s + "+", s + "-"):
-            if tag in graph.orders:
-                raise ValueError("vertex name %r collides with a hat vertex name" % tag)
+    orders = {name: graph.orders.get(name, 2) for name in names}
     edges = []
     for a, b in itertools.combinations(names, 2):
         sa, _ = hat_base(graph, a)
@@ -61,33 +53,55 @@ def hat_graph(graph):
     return LabeledGraph(names, orders, edges)
 
 
+def _all_cliques(vertices, adjacent):
+    """Every clique of a finite graph, the empty one included: the
+    all-cliques form of Bron-Kerbosch (CACM 1973)."""
+    out = []
+
+    def extend(clique, candidates):
+        out.append(frozenset(clique))
+        for i, v in enumerate(candidates):
+            extend(clique + [v], [w for w in candidates[i + 1 :] if adjacent(v, w)])
+
+    extend([], list(vertices))
+    return out
+
+
 def cliques(graph):
     """All cliques of a finite graph, the empty one included."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(graph.vertices)
-    nxg.add_edges_from(tuple(e) for e in graph.edges)
-    out = [frozenset()]
-    out.extend(frozenset(c) for c in nx.enumerate_all_cliques(nxg))
+    out = _all_cliques(graph.vertices, graph.adjacent)
     index = graph.index
     out.sort(key=lambda c: (len(c), sorted(index[v] for v in c)))
     return out
 
 
-def std_subset(gp, clique):
-    """The element set <<C>>, as a frozenset of normal forms."""
-    elements = {gp.identity}
+def coset_elements(gp, g, clique):
+    """The element set of the coset g<<C>>, as a frozenset of normal forms."""
+    elements = {g}
     expected = 1
     for hat in clique:
-        layer = gp.hat_subset(hat)
-        expected *= len(layer)
-        elements = {gp.multiply(x, h) for x in elements for h in layer}
-    assert len(elements) == expected, "standard subset cardinality mismatch"
+        _, *others = gp.hat_subset(hat)  # the identity comes first
+        expected *= 1 + len(others)
+        elements |= {gp.multiply(x, h) for x in elements for h in others}
+    if len(elements) != expected:
+        raise SoundnessError(
+            "coset %s<<%s>> has %d elements, not %d"
+            % (g, ",".join(sorted(clique)), len(elements), expected)
+        )
     return frozenset(elements)
 
 
-def hat_element(gp, hat):
-    base, sign = hat_base(gp.graph, hat)
-    return gp.generator(base, sign)
+def std_subset(gp, clique):
+    """The element set <<C>>, as a frozenset of normal forms."""
+    return coset_elements(gp, gp.identity, clique)
+
+
+def clique_at(gp, elements, at):
+    """The clique C with elements = at<<C>>, read off at a member `at`: the
+    hat letters h with at*h in the coset."""
+    return frozenset(
+        hat for hat, h in gp.hat_generators.items() if gp.multiply(at, h) in elements
+    )
 
 
 class CosetVertex:
@@ -124,14 +138,13 @@ class CosetVertex:
 
 def coset_vertex(gp, g, clique):
     """Canonicalized vertex g<<C>>; invariant under g -> g*h, h in <<C>>."""
-    elements = frozenset(gp.multiply(g, h) for h in std_subset(gp, clique))
+    elements = coset_elements(gp, g, clique)
     rep = min(elements, key=gp.sort_key)
-    rep_inv = gp.invert(rep)
-    standardized = {gp.multiply(rep_inv, x) for x in elements}
-    canonical = frozenset(
-        hat for hat in hat_names(gp.graph) if hat_element(gp, hat) in standardized
-    )
-    assert len(canonical) == len(clique)
+    canonical = clique_at(gp, elements, rep)
+    if len(canonical) != len(clique):
+        raise SoundnessError(
+            "coset %s<<%s>> reads off clique %s" % (g, sorted(clique), sorted(canonical))
+        )
     return CosetVertex(rep, canonical, elements)
 
 
@@ -195,13 +208,8 @@ class SimplicialComplex:
 
 def is_flag(complex_):
     """True iff every pairwise-adjacent vertex set spans a face."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(complex_.vertices)
-    nxg.add_edges_from(tuple(e) for e in complex_.skeleton_edges())
-    for c in nx.enumerate_all_cliques(nxg):
-        if not complex_.has_face(c):
-            return False
-    return True
+    cs = _all_cliques(complex_.vertices, lambda a, b: complex_.has_face((a, b)))
+    return all(complex_.has_face(c) for c in cs)
 
 
 def flag_complex(graph):
@@ -227,7 +235,7 @@ class CubeBall:
         by_key = {}
         for g in elements:
             for c in self.cliques:
-                candidate = frozenset(gp.multiply(g, h) for h in std_subset(gp, c))
+                candidate = coset_elements(gp, g, c)
                 if candidate in by_key or not candidate <= elements:
                     continue
                 by_key[candidate] = coset_vertex(gp, g, c)
@@ -245,9 +253,7 @@ class CubeBall:
             for c in self.cliques:
                 if not v.clique < c:
                     continue
-                w = self._by_elements.get(
-                    frozenset(gp.multiply(v.rep, h) for h in std_subset(gp, c))
-                )
+                w = self._by_elements.get(coset_elements(gp, v.rep, c))
                 if w is None:
                     complete = False
                 elif len(c) == len(v.clique) + 1:
@@ -261,13 +267,10 @@ class CubeBall:
             top_clique = sorted(top.clique, key=hat_index.__getitem__)
             for k in range(len(top_clique)):
                 for sub in itertools.combinations(top_clique, k):
-                    rest = frozenset(top.clique) - frozenset(sub)
+                    rest = top.clique - frozenset(sub)
                     for h in sorted(std_subset(gp, rest), key=gp.sort_key):
                         bottom = self._by_elements[
-                            frozenset(
-                                gp.multiply(gp.multiply(top.rep, h), q)
-                                for q in std_subset(gp, frozenset(sub))
-                            )
+                            coset_elements(gp, gp.multiply(top.rep, h), frozenset(sub))
                         ]
                         key = (bottom.elements, top.elements)
                         if key not in seen:
@@ -286,9 +289,6 @@ class CubeBall:
         self.squares = [c for c in cubes if c.dim == 2]
 
     # -- queries ---------------------------------------------------------------
-
-    def contains_vertex(self, v):
-        return v.elements in self._by_elements
 
     def vertex(self, elements):
         return self._by_elements[frozenset(elements)]
@@ -310,12 +310,7 @@ class CubeBall:
         for hat in sorted(v.clique, key=self.delta.index.__getitem__):
             rest = v.clique - {hat}
             out[hat] = [
-                self._by_elements[
-                    frozenset(
-                        gp.multiply(gp.multiply(v.rep, h), q)
-                        for q in std_subset(gp, rest)
-                    )
-                ]
+                self._by_elements[coset_elements(gp, gp.multiply(v.rep, h), rest)]
                 for h in sorted(gp.hat_subset(hat), key=gp.sort_key)
             ]
         return out
@@ -335,23 +330,18 @@ class CubeBall:
         infinite letters.
         """
         gp = self.gp
-        rep_inv = gp.invert(cube.bottom.rep)
-        standardized = {gp.multiply(rep_inv, x) for x in cube.top.elements}
-        top_clique = frozenset(
-            hat for hat in hat_names(self.graph) if hat_element(gp, hat) in standardized
-        )
-        diff = sorted(top_clique - cube.bottom.clique, key=self.delta.index.__getitem__)
-        assert len(diff) == cube.dim
-        out = []
-        for k in range(len(diff) + 1):
-            for extra in itertools.combinations(diff, k):
-                c = cube.bottom.clique | frozenset(extra)
-                out.append(
-                    self._by_elements[
-                        frozenset(gp.multiply(cube.bottom.rep, h) for h in std_subset(gp, c))
-                    ]
-                )
-        assert len(set(out)) == 2 ** cube.dim
+        bottom = cube.bottom
+        top_clique = clique_at(gp, cube.top.elements, bottom.rep)
+        diff = sorted(top_clique - bottom.clique, key=self.delta.index.__getitem__)
+        if len(diff) != cube.dim:
+            raise SoundnessError("cube %r of dimension %d adds hats %r" % (cube, cube.dim, diff))
+        out = [
+            self._by_elements[coset_elements(gp, bottom.rep, bottom.clique | frozenset(extra))]
+            for k in range(len(diff) + 1)
+            for extra in itertools.combinations(diff, k)
+        ]
+        if len(set(out)) != 2 ** cube.dim:
+            raise SoundnessError("cube %r has repeated vertices" % (cube,))
         return out
 
 
@@ -381,15 +371,9 @@ def vertex_link(ball, v):
     ups = ball.covers_up(v)
     up_hats = {}
     for w in ups:
-        rep_inv = ball.gp.invert(v.rep)
-        standardized = {ball.gp.multiply(rep_inv, x) for x in w.elements}
-        added = [
-            hat
-            for hat in hat_names(ball.graph)
-            if hat_element(ball.gp, hat) in standardized
-        ]
-        extra = frozenset(added) - v.clique
-        assert len(extra) == 1
+        extra = clique_at(ball.gp, w.elements, v.rep) - v.clique
+        if len(extra) != 1:
+            raise SoundnessError("cover %r of %r adds hats %r" % (w, v, sorted(extra)))
         up_hats[w] = next(iter(extra))
     down_classes = ball.covers_down(v)
     downs = [d for members in down_classes.values() for d in members]
@@ -461,7 +445,8 @@ def stabilizer(gp, v):
     for h in candidates:
         if frozenset(gp.multiply(h, x) for x in v.elements) == v.elements:
             out.append(h)
-    assert gp.identity in out
+    if gp.identity not in out:
+        raise SoundnessError("the identity does not fix %r" % (v,))
     return frozenset(out)
 
 

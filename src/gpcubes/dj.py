@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cubes import build_ball, cliques, hat_graph
+from .cubes import SoundnessError, build_ball, cliques, coset_elements, hat_graph
 from .groups import (
     DEFAULT_ELEMENT_BUDGET,
     GraphProduct,
@@ -49,12 +49,6 @@ def ambient_graph(graph):
     names = list(graph.finite_vertices)
     for s in graph.infinite_vertices:
         names.extend((_plus(s), _zero(s)))
-    if len(set(names)) != len(names):
-        raise ValueError("ambient vertex names collide")
-    for s in graph.infinite_vertices:
-        for tag in (_plus(s), _zero(s)):
-            if tag in graph.orders:
-                raise ValueError("vertex name %r collides with an ambient name" % tag)
     orders = {s: graph.orders[s] for s in graph.finite_vertices}
     orders.update({_plus(s): 2 for s in graph.infinite_vertices})
     orders.update({_zero(s): 2 for s in graph.infinite_vertices})
@@ -184,7 +178,7 @@ class DJPair:
                     e = e ^ {s}
         check = self.gp_ambient.multiply(self.beta(a), self.e_hat(e))
         if check != g:
-            raise AssertionError("factorization failed for %s" % g)
+            raise SoundnessError("factorization failed for %s" % g)
         return a, frozenset(e)
 
     def factorize_doubled(self, g):
@@ -206,27 +200,11 @@ class DJPair:
                     e = e ^ {s}
         check = self.gp_ambient.multiply(self.alpha(a), self.e_hat(e))
         if check != g:
-            raise AssertionError("factorization failed for %s" % g)
+            raise SoundnessError("factorization failed for %s" % g)
         return a, frozenset(e)
 
 
 # -- the common coset complex -------------------------------------------------------
-
-
-def _clique_subset(pair, clique):
-    """The subset of the ambient group attached to a clique of the doubled
-    graph: full cyclic groups for finite letters, {1, s+} for signed ones."""
-    gp2 = pair.gp_ambient
-    out = {gp2.identity}
-    for hat in clique:
-        base, _ = hat_base(pair.graph, hat)
-        layer = (
-            [gp2.generator(base, k) for k in range(pair.graph.order(base))]
-            if pair.graph.is_finite(base)
-            else [gp2.identity, gp2.generator(_plus(base))]
-        )
-        out = {gp2.multiply(x, h) for x in out for h in layer}
-    return frozenset(out)
 
 
 def _saturate(pair, elements):
@@ -255,13 +233,10 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         for c in cliques(pair.doubled)
         if not any(hat.endswith("-") for hat in c)
     ]
-    subsets = {c: _clique_subset(pair, c) for c in plus_cliques}
     out = set()
     for g in sorted(big, key=gp2.sort_key):
         for c in plus_cliques:
-            members = _saturate(
-                pair, {gp2.multiply(g, k) for k in subsets[c]}
-            )
+            members = _saturate(pair, coset_elements(gp2, g, c))
             if members in out:
                 continue
             if all(pair.factorize(x)[0].length <= radius for x in members):

@@ -69,10 +69,20 @@ class LabeledGraph:
         self.edges = frozenset(frozenset(e) for e in edges)
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphParseError("duplicate vertex name")
+        if "1" in self.orders:
+            raise GraphParseError("vertex name '1' is reserved: it prints as the identity")
         for v in self.vertices:
             c = self.orders[v]
             if c is not None and c < 2:
                 raise GraphParseError("vertex order must be >= 2 or inf: %r" % v)
+            if c is None:
+                # the doubled and ambient graphs name their letters s+, s-, s0
+                for tag in ("+", "-", "0"):
+                    if v + tag in self.orders:
+                        raise GraphParseError(
+                            "vertex name %r is reserved for the infinite generator %r"
+                            % (v + tag, v)
+                        )
         for e in self.edges:
             if len(e) != 2:
                 raise GraphParseError("self-loop or malformed edge: %r" % sorted(e))
@@ -282,6 +292,16 @@ class GraphProduct:
     def __init__(self, graph):
         self.graph = graph
         self._identity = NormalForm((), 0, graph)
+        # <<h>> for every hat letter h, and the generator h itself
+        self._hat_subsets = {}
+        self.hat_generators = {}
+        for hat in hat_names(graph):
+            s, sign = hat_base(graph, hat)
+            c = graph.orders[s]
+            powers = (sign,) if c is None else range(1, c)
+            subset = (self._identity,) + tuple(self.generator(s, k) for k in powers)
+            self._hat_subsets[hat] = subset
+            self.hat_generators[hat] = subset[1]
 
     # -- basic word handling ------------------------------------------------
 
@@ -411,12 +431,8 @@ class GraphProduct:
 
     def hat_subset(self, hat):
         """The standard subset of a hat vertex: the whole cyclic group for a
-        finite generator, {1, s^sign} for an infinite one."""
-        s, sign = hat_base(self.graph, hat)
-        c = self.graph.orders[s]
-        if c is None:
-            return (self.identity, self.generator(s, sign))
-        return tuple(self.generator(s, k) if k else self.identity for k in range(c))
+        finite generator, {1, s^sign} for an infinite one; identity first."""
+        return self._hat_subsets[hat]
 
     def desc_letters(self, g):
         """Hat vertices whose standard coset at g does not rise above g.
@@ -426,8 +442,8 @@ class GraphProduct:
         """
         self._check_presentation(g)
         out = set()
-        for hat in hat_names(self.graph):
-            coset_max = max(self.multiply(g, h).length for h in self.hat_subset(hat))
+        for hat, subset in self._hat_subsets.items():
+            coset_max = max(self.multiply(g, h).length for h in subset)
             if coset_max == g.length:
                 out.add(hat)
         return frozenset(out)

@@ -11,7 +11,7 @@ certified by Euler characteristic 1.
 
 from __future__ import annotations
 
-from .cubes import SimplicialComplex, vertex_link
+from .cubes import SimplicialComplex, SoundnessError, coset_elements, vertex_link
 
 
 class MorseViolationError(AssertionError):
@@ -42,7 +42,8 @@ def cube_max_vertex(ball, cube):
             "cube [%r, %r] has %d height-maximal vertices" % (cube.bottom, cube.top, len(ties))
         )
     top_max = max(x.length for x in cube.top.elements)
-    assert any(x.length == top_max for x in best.elements)
+    if not any(x.length == top_max for x in best.elements):
+        raise SoundnessError("height-maximal vertex %r misses the top's longest element" % best)
     return best
 
 
@@ -106,7 +107,6 @@ def check_up_link_subdivided_simplex(ball, v):
         for b in desc:
             if a != b and not ball.delta.adjacent(a, b):
                 return False
-    from .cubes import std_subset
 
     # a coface g<<C>> is descending iff its coset does not rise above g;
     # the vertex being interior, every coface exists in the ball
@@ -114,7 +114,7 @@ def check_up_link_subdivided_simplex(ball, v):
     for c in ball.cliques:
         if not c:
             continue
-        w = ball.vertex(frozenset(gp.multiply(v.rep, q) for q in std_subset(gp, c)))
+        w = ball.vertex(coset_elements(gp, v.rep, c))
         if w.max_length == v.rep.length:
             descending.add(frozenset(c))
     expected = {frozenset(c) for c in ball.cliques if c and c <= desc}

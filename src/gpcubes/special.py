@@ -11,23 +11,13 @@ checkable on a finite ball.
 
 from __future__ import annotations
 
-from .groups import hat_base, hat_names
-from .cubes import hat_element
-
-
-def _standardized_clique(ball, v, at):
-    gp = ball.gp
-    inv = gp.invert(at)
-    standardized = {gp.multiply(inv, x) for x in v.elements}
-    return frozenset(
-        hat for hat in hat_names(ball.graph) if hat_element(gp, hat) in standardized
-    )
+from .cubes import SoundnessError, clique_at
+from .groups import hat_base
 
 
 def edge_hat(ball, edge):
     """The hat letter an edge adds, standardized at the bottom's rep."""
-    top_clique = _standardized_clique(ball, edge.top, edge.bottom.rep)
-    (hat,) = top_clique - edge.bottom.clique
+    (hat,) = clique_at(ball.gp, edge.top.elements, edge.bottom.rep) - edge.bottom.clique
     return hat
 
 
@@ -39,7 +29,7 @@ def trailing_power(gp, g, base):
     for s, e in reversed(g.letters):
         if s == base:
             return e
-    raise AssertionError("end letter without a letter")  # pragma: no cover
+    raise SoundnessError("end letter without a letter")  # pragma: no cover
 
 
 def full_label(ball, edge):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gpcubes
 from gpcubes.groups import GraphProduct, parse_graph
 
 # The standing fixture set: one graph per small phenomenon.
@@ -17,6 +22,20 @@ GRAPH_TEXTS = {
     + "\n",
     "mixed": "a:inf\nu:3\nedge a u\n",
 }
+
+
+def fresh_python(code, *flags):
+    """Run code in a new interpreter that imports the gpcubes under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpcubes.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import pytest
 
 from gpcubes.cli import main
 
-from conftest import GRAPH_TEXTS
+from conftest import GRAPH_TEXTS, fresh_python
 
 
 @pytest.fixture()
@@ -77,6 +77,29 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("a:inf\na+:2\n", ["check", "--radius", "1"]),  # reserved hat name
+            ("a:inf\na0:2\n", ["dj-graphs"]),  # reserved ambient name
+            ("1:2\n", ["normalize", "1"]),  # prints as the identity
+            ("a:inf\n", ["check", "--radius", "-1"]),
+            (None, ["build", "--radius", "1"]),  # the graph path is a directory
+        ],
+    )
+    def test_bad_input_exits_two(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "input.graph"
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        try:
+            code = main([argv[0], "--graph", str(path)] + argv[1:])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_budget_exhaustion(self, graph_file, capsys):
         code = main(
@@ -157,3 +180,10 @@ class TestDjGraphs:
         assert code == 0
         assert data["isomorphism"]["ok"]
         assert data["isomorphism"]["vertices_common"] == 9
+
+
+def test_import_leaves_out_networkx():
+    proc = fresh_python(
+        "import sys, gpcubes.cli; sys.exit('networkx' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr

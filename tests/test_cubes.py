@@ -1,15 +1,20 @@
 import itertools
+import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpcubes.groups import parse_graph
+from gpcubes.groups import LabeledGraph, hat_base, hat_names, parse_graph
 from gpcubes.cubes import (
     CosetVertex,
     NotInteriorError,
     SimplicialComplex,
     build_ball,
     check_link_models,
+    clique_at,
     cliques,
+    coset_elements,
     coset_vertex,
     flag_complex,
     fundamental_domain_check,
@@ -20,6 +25,8 @@ from gpcubes.cubes import (
     std_subset,
     vertex_link,
 )
+
+from conftest import fresh_python
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +93,31 @@ class TestCliques:
         cs = cliques(hat_graph(graphs["mixed"]))
         assert [len(c) for c in cs] == sorted(len(c) for c in cs)
 
+    @staticmethod
+    def _check_against_brute_force(graph):
+        cs = cliques(graph)
+        assert len(cs) == len(set(cs))
+        assert set(cs) == {
+            frozenset(sub)
+            for k in range(len(graph.vertices) + 1)
+            for sub in itertools.combinations(graph.vertices, k)
+            if all(graph.adjacent(a, b) for a, b in itertools.combinations(sub, 2))
+        }
+
+    def test_fixtures_match_brute_force(self, graphs):
+        for g in graphs.values():
+            self._check_against_brute_force(g)
+            self._check_against_brute_force(hat_graph(g))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs_match_brute_force(self, data):
+        names = ["v%d" % i for i in range(data.draw(st.integers(0, 6)))]
+        edges = [
+            pair for pair in itertools.combinations(names, 2) if data.draw(st.booleans())
+        ]
+        self._check_against_brute_force(LabeledGraph(names, dict.fromkeys(names, 2), edges))
+
 
 class TestStdSubset:
     def test_infinite_letter(self, products):
@@ -112,7 +144,44 @@ class TestStdSubset:
         assert std_subset(gp, frozenset()) == {gp.identity}
 
 
+class TestCosetElements:
+    def test_matches_product_of_standard_subsets(self, products):
+        # reference: g times every product of one member per hat letter
+        for gp in products.values():
+            for x in gp.enumerate_ball(2):
+                for c in cliques(hat_graph(gp.graph)):
+                    expected = {
+                        gp.normalize(x.letters + tuple(l for h in hs for l in h.letters))
+                        for hs in itertools.product(*(gp.hat_subset(hat) for hat in c))
+                    }
+                    assert coset_elements(gp, x, c) == expected
+
+
 # -- coset vertices --------------------------------------------------------------
+
+
+def standardized_clique(gp, elements, at):
+    """Reference read-off: translate the coset by at^-1 and test every hat
+    generator for membership."""
+    inv = gp.invert(at)
+    standardized = {gp.multiply(inv, x) for x in elements}
+    return frozenset(
+        hat
+        for hat in hat_names(gp.graph)
+        if gp.generator(*hat_base(gp.graph, hat)) in standardized
+    )
+
+
+class TestCliqueAt:
+    def test_matches_reference_at_every_member(self, graphs):
+        for g in graphs.values():
+            b = build_ball(g, 2)
+            for v in b.vertices:
+                assert clique_at(b.gp, v.elements, v.rep) == v.clique
+                for at in v.elements:
+                    assert clique_at(b.gp, v.elements, at) == standardized_clique(
+                        b.gp, v.elements, at
+                    )
 
 
 class TestCosetVertex:
@@ -305,6 +374,29 @@ class TestLinks:
 
 
 # -- group action -------------------------------------------------------------------
+
+
+class TestSoundnessChecks:
+    def test_raise_under_python_O(self):
+        # assert statements vanish under -O; the soundness checks must not
+        code = textwrap.dedent(
+            """
+            import sys
+            from gpcubes.cubes import Cube, SoundnessError, build_ball
+            from gpcubes.groups import parse_graph
+            if sys.flags.optimize != 1:
+                sys.exit(3)
+            ball = build_ball(parse_graph("a:inf\\nb:inf\\nedge a b\\n"), 1)
+            edge = ball.edges[0]
+            try:
+                ball.cube_vertices(Cube(edge.bottom, edge.top, 2))
+            except SoundnessError:
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        proc = fresh_python(code, "-O")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStabilizer:

@@ -67,11 +67,19 @@ class TestParseGraph:
             "a:1\n",  # order < 2
             "a:zero\n",  # malformed order
             "garbage line\n",  # malformed syntax
+            "1:2\n",  # prints as the identity
+            "a:inf\na+:2\n",  # hat letter of a
+            "a:inf\na-:inf\n",  # hat letter of a
+            "a:inf\na0:3\n",  # ambient letter of a
         ],
     )
     def test_rejects(self, text):
         with pytest.raises(GraphParseError):
             parse_graph(text)
+
+    def test_signed_names_free_next_to_a_finite_generator(self):
+        g = parse_graph("a:2\na+:2\na-:3\na0:inf\n")
+        assert g.vertices == ("a", "a+", "a-", "a0")
 
     def test_roundtrip(self, graphs):
         for g in graphs.values():
