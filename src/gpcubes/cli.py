@@ -46,8 +46,13 @@ from .special import check_free_kernel_action, check_special
 
 
 def _load_graph(path):
-    with open(path) as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise GraphParseError("cannot read %s: %s" % (path, reason)) from err
+    return parse_graph(text)
 
 
 def _graph_digest(graph):

@@ -52,36 +52,35 @@ def base_label(ball, edge):
     return (hat_base(ball.graph, hat)[0], k)
 
 
-def _edge_key(edge):
-    return (edge.bottom.elements, edge.top.elements)
+def _edge_index(ball):
+    """Position in ball.edges of each edge, keyed by (bottom, top)."""
+    return {(e.bottom, e.top): i for i, e in enumerate(ball.edges)}
 
 
-def _square_edges(ball, square):
-    """The four boundary edges of a 2-cube, as dim-1 cubes of the ball,
+def _square_edges(ball, index):
+    """The positions in ball.edges of each square's four boundary edges,
     paired so that [0] is parallel to [1] and [2] to [3]."""
-    b, m1, m2, t = ball.cube_vertices(square)
-    by_key = {_edge_key(e): e for e in ball.edges}
-    quad = [(b, m1), (m2, t), (b, m2), (m1, t)]
-    return [by_key[(lo.elements, hi.elements)] for lo, hi in quad]
+    out = []
+    for sq in ball.squares:
+        b, m1, m2, t = ball.cube_vertices(sq)
+        out.append([index[lo, hi] for lo, hi in ((b, m1), (m2, t), (b, m2), (m1, t))])
+    return out
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _edge_roots(ball, quads):
+    """Each edge's class representative under gluing the opposite sides of
+    every square: one union-find over edge positions."""
+    parent = list(range(len(ball.edges)))
 
-    def find(self, x):
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
+    for e0, e1, e2, e3 in quads:
+        parent[find(e0)] = find(e1)
+        parent[find(e2)] = find(e3)
+    return [find(i) for i in range(len(parent))]
 
 
 class Hyperplane:
@@ -101,19 +100,15 @@ class Hyperplane:
         )
 
 
-def hyperplanes(ball):
+def hyperplanes(ball, roots=None):
     """All hyperplanes of the ball.  A hyperplane is interior when every
-    dual edge has an interior top, so no square along it can be missing."""
-    uf = _UnionFind()
-    for e in ball.edges:
-        uf.find(_edge_key(e))
-    for sq in ball.squares:
-        e0, e1, e2, e3 = _square_edges(ball, sq)
-        uf.union(_edge_key(e0), _edge_key(e1))
-        uf.union(_edge_key(e2), _edge_key(e3))
+    dual edge has an interior top, so no square along it can be missing.
+    roots is _edge_roots of the ball, when the caller has it already."""
+    if roots is None:
+        roots = _edge_roots(ball, _square_edges(ball, _edge_index(ball)))
     classes = {}
-    for e in ball.edges:
-        classes.setdefault(uf.find(_edge_key(e)), []).append(e)
+    for e, root in zip(ball.edges, roots):
+        classes.setdefault(root, []).append(e)
     out = []
     for members in classes.values():
         interior = all(ball.is_interior(e.top) for e in members)
@@ -136,7 +131,6 @@ def check_special(ball, label_fn=None):
     A custom label_fn (ball, edge) -> hashable serves as a negative control:
     a labelling that conflates distinct hyperplanes must fail condition 2.
     """
-    label_fn = label_fn or full_label
     failures = []
     report = {
         "edges": len(ball.edges),
@@ -148,69 +142,59 @@ def check_special(ball, label_fn=None):
         "failures": failures,
     }
 
-    uf = _UnionFind()
-    for e in ball.edges:
-        uf.find(_edge_key(e))
-    for sq in ball.squares:
-        e0, e1, e2, e3 = _square_edges(ball, sq)
-        uf.union(_edge_key(e0), _edge_key(e1))
-        uf.union(_edge_key(e2), _edge_key(e3))
+    edges = ball.edges
+    index = _edge_index(ball)
+    quads = _square_edges(ball, index)
+    roots = _edge_roots(ball, quads)
+    fulls = [full_label(ball, e) for e in edges]
+    labels = fulls if label_fn is None else [label_fn(ball, e) for e in edges]
+    bases = [hat_base(ball.graph, hat)[0] for hat, _ in fulls]
 
-    labels = {_edge_key(e): label_fn(ball, e) for e in ball.edges}
-
-    for sq in ball.squares:
-        e0, _, e2, _ = _square_edges(ball, sq)
-        if uf.find(_edge_key(e0)) == uf.find(_edge_key(e2)):
+    corners = set()
+    for sq, (e0, e1, e2, e3) in zip(ball.squares, quads):
+        if roots[e0] == roots[e2]:
             report["no_self_crossing"] = False
             failures.append("square %r crossed twice by one hyperplane" % (sq,))
-        h1, h2 = edge_hat(ball, e0), edge_hat(ball, e2)
+        h1, h2 = fulls[e0][0], fulls[e2][0]
         if not ball.delta.adjacent(h1, h2):
             report["square_hats_adjacent"] = False
             failures.append("square %r with non-adjacent hats %r, %r" % (sq, h1, h2))
+        for i, j in ((e0, e2), (e0, e3), (e1, e2), (e1, e3)):
+            corners.add((min(i, j), max(i, j)))
 
     incident = {v: [] for v in ball.vertices}
-    for e in ball.edges:
-        incident[e.bottom].append(e)
-        incident[e.top].append(e)
+    for i, e in enumerate(edges):
+        incident[e.bottom].append(i)
+        incident[e.top].append(i)
 
     for v in ball.vertices:
-        edges = incident[v]
-        for i, e1 in enumerate(edges):
-            for e2 in edges[i + 1 :]:
-                if labels[_edge_key(e1)] == labels[_edge_key(e2)]:
+        around = incident[v]
+        for k, i in enumerate(around):
+            for j in around[k + 1 :]:
+                if labels[i] == labels[j]:
                     report["no_label_osculation"] = False
-                    failures.append(
-                        "label %r repeats at vertex %r" % (labels[_edge_key(e1)], v)
-                    )
+                    failures.append("label %r repeats at vertex %r" % (labels[i], v))
 
-    square_edge_keys = [
-        frozenset(map(_edge_key, _square_edges(ball, sq))) for sq in ball.squares
-    ]
+    # incident positions ascend, so each pair is already (min, max)
     for v in ball.interior_vertices:
-        edges = incident[v]
-        for i, e1 in enumerate(edges):
-            b1 = hat_base(ball.graph, edge_hat(ball, e1))[0]
-            for e2 in edges[i + 1 :]:
-                b2 = hat_base(ball.graph, edge_hat(ball, e2))[0]
-                if b1 == b2 or not ball.graph.adjacent(b1, b2):
-                    continue
-                wanted = {_edge_key(e1), _edge_key(e2)}
-                if not any(wanted <= keys for keys in square_edge_keys):
+        around = incident[v]
+        for k, i in enumerate(around):
+            for j in around[k + 1 :]:
+                b1, b2 = bases[i], bases[j]
+                if b1 != b2 and ball.graph.adjacent(b1, b2) and (i, j) not in corners:
                     report["crossings_realized"] = False
-                    failures.append(
-                        "edges %r, %r at %r span no square" % (e1, e2, v)
-                    )
+                    failures.append("edges %r, %r at %r span no square" % (edges[i], edges[j], v))
 
-    hps = hyperplanes(ball)
+    hps = hyperplanes(ball, roots)
     report["hyperplanes"] = len(hps)
     report["interior_hyperplanes"] = sum(1 for h in hps if h.interior)
     report["hyperplane_labels_constant"] = all(
-        len({labels[_edge_key(e)] for e in h.edges}) == 1 for h in hps if h.interior
+        len({labels[index[e.bottom, e.top]] for e in h.edges}) == 1 for h in hps if h.interior
     )
     report["label_census"] = {
-        "full": len({full_label(ball, e) for e in ball.edges}),
-        "hat": len({hat_label(ball, e) for e in ball.edges}),
-        "base": len({base_label(ball, e) for e in ball.edges}),
+        "full": len(set(fulls)),
+        "hat": len({hat for hat, _ in fulls}),
+        "base": len({(b, k) for b, (_, k) in zip(bases, fulls)}),
     }
     report["truncation"] = (
         None

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gpcubes import cli
 from gpcubes.cli import main
 
 from conftest import GRAPH_TEXTS, fresh_python
@@ -100,6 +101,20 @@ class TestErrors:
             code = exc.code
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_graph_file(self, tmp_path, capsys):
+        path = tmp_path / "bytes.graph"
+        path.write_bytes(b"\xff\xfea:inf\n")
+        assert main(["normalize", "--graph", str(path), "a"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unreadable_graph_file(self, graph_file, capsys, monkeypatch):
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert main(["normalize", "--graph", graph_file("free2"), "a"]) == 2
+        assert "Permission denied" in capsys.readouterr().err
 
     def test_budget_exhaustion(self, graph_file, capsys):
         code = main(

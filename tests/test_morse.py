@@ -1,6 +1,12 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpcubes import morse
 from gpcubes.cubes import build_ball, coset_vertex
+from gpcubes.groups import LabeledGraph, parse_graph
 from gpcubes.morse import (
     MorseViolationError,
     TruncatedSublevelError,
@@ -11,6 +17,7 @@ from gpcubes.morse import (
     height,
     morse_report,
     sublevel_euler,
+    sublevel_eulers,
 )
 
 
@@ -149,6 +156,47 @@ class TestSublevels:
                 assert sublevel_euler(b, h) == 1
 
 
+def _cliques_up(v):
+    """A height under which bigger cliques come later: its sublevels are not
+    contractible, so the sweep's steps are nonzero."""
+    return (v.max_length, len(v.clique))
+
+
+class TestSweep:
+    """The one-sweep Euler characteristics against the per-height oracle."""
+
+    @staticmethod
+    def _check(ball):
+        # under the Morse height every sublevel has Euler characteristic 1,
+        # so every step but the first is zero; _cliques_up tests the order
+        # and signs of the steps as well
+        swept = {}
+        for fn in (morse.height, _cliques_up):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(morse, "height", fn)
+                cube_heights = [fn(cube_max_vertex(ball, c)) for c in ball.cubes]
+                swept[fn] = sublevel_eulers(ball, cube_heights)
+                vertex_heights = {fn(v) for v in ball.vertices}
+                assert set(swept[fn]) == vertex_heights
+                for h in vertex_heights:
+                    assert swept[fn][h] == sublevel_euler(ball, h), (fn.__name__, h)
+        return swept[_cliques_up]
+
+    def test_fixtures(self, balls):
+        nontrivial = [chi for b in balls.values() for chi in self._check(b).values() if chi != 1]
+        assert nontrivial
+
+    @given(st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_random_graphs(self, data):
+        names = ["v%d" % i for i in range(data.draw(st.integers(1, 4)))]
+        orders = {n: data.draw(st.sampled_from([2, 3, None])) for n in names}
+        edges = [
+            pair for pair in itertools.combinations(names, 2) if data.draw(st.booleans())
+        ]
+        self._check(build_ball(LabeledGraph(names, orders, edges), 2))
+
+
 class TestReport:
     def test_all_fixtures_certify(self, balls):
         for name, b in balls.items():
@@ -158,3 +206,13 @@ class TestReport:
 
     def test_violation_error_type(self):
         assert issubclass(MorseViolationError, AssertionError)
+
+    def test_tie_fails_the_report_without_raising(self, monkeypatch):
+        # with a constant height every cube ties, so no sublevel is defined
+        ball = build_ball(parse_graph("a:inf\n"), 2)
+        monkeypatch.setattr(morse, "height", lambda v: (0, 0))
+        report = morse_report(ball)
+        assert report["unique_cube_maxima"] is False
+        assert report["sublevel_euler_ok"] is False
+        assert report["ok"] is False
+        assert any("sublevels are undefined" in f for f in report["failures"])

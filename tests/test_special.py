@@ -134,6 +134,22 @@ class TestCheckSpecial:
         assert report["no_self_crossing"]
         assert report["square_hats_adjacent"]
 
+    def test_missing_square_fails_crossings(self, square_ball, monkeypatch):
+        # every vertex of the finite complex is interior, so the two edges at
+        # each corner of the dropped square now span no square
+        dropped = square_ball.squares[0]
+        assert all(square_ball.is_interior(v) for v in square_ball.cube_vertices(dropped))
+        monkeypatch.setattr(square_ball, "squares", square_ball.squares[1:])
+        report = check_special(square_ball)
+        assert not report["crossings_realized"]
+        assert not report["ok"]
+
+    def test_non_adjacent_hats_fail(self, square_ball, monkeypatch):
+        monkeypatch.setattr(square_ball.delta, "adjacent", lambda a, b: False)
+        report = check_special(square_ball)
+        assert not report["square_hats_adjacent"]
+        assert not report["ok"]
+
 
 class TestTorsionProjection:
     def test_examples(self, products):
