@@ -223,14 +223,15 @@ def _cmd_dj_graphs(args):
     graph = _load_graph(args.graph)
     doubled = doubled_graph(graph)
     ambient = ambient_graph(graph)
+    # the original and the doubled complex are both built over the doubled
+    # graph, so their cube dimensions agree; the ambient one usually differs
+    dimension = max(map(len, cliques(doubled)))
     payload = {
         "doubled_graph": doubled.to_text(),
         "ambient_graph": ambient.to_text(),
-        # cube dimensions of the three complexes (the ambient one usually
-        # differs; the first two must agree)
         "dimensions": {
-            "original": max(map(len, cliques(doubled))),
-            "doubled": max(map(len, cliques(doubled))),
+            "original": dimension,
+            "doubled": dimension,
             "ambient": max(map(len, cliques(hat_graph(ambient)))),
         },
     }

@@ -77,6 +77,12 @@ class DJPair:
         self.gp_doubled = GraphProduct(self.doubled)
         self.ambient = ambient_graph(graph)
         self.gp_ambient = GraphProduct(self.ambient)
+        inf = graph.infinite_vertices
+        self._e_elements = {
+            frozenset(sub): self.e_hat(frozenset(sub))
+            for k in range(len(inf) + 1)
+            for sub in itertools.combinations(inf, k)
+        }
 
     # -- the embeddings ---------------------------------------------------------
 
@@ -111,12 +117,7 @@ class DJPair:
 
     def e_elements(self):
         """All of E, keyed by the subset of infinite generators involved."""
-        inf = self.graph.infinite_vertices
-        return {
-            frozenset(sub): self.e_hat(frozenset(sub))
-            for k in range(len(inf) + 1)
-            for sub in itertools.combinations(inf, k)
-        }
+        return dict(self._e_elements)
 
     def e_hat(self, e):
         """The element of E attached to a set of infinite generators (the
@@ -210,7 +211,7 @@ class DJPair:
 def _saturate(pair, elements):
     """Multiply a set of ambient elements by all of E on the right."""
     gp2 = pair.gp_ambient
-    es = list(pair.e_elements().values())
+    es = pair._e_elements.values()
     return frozenset(gp2.multiply(x, e) for x in elements for e in es)
 
 
@@ -220,7 +221,9 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
 
     Every member of such a set has ambient length at most
     2*radius + #infinite generators, so scanning the ambient ball of that
-    radius finds each vertex at least once.
+    radius finds each vertex at least once.  A set contains its rep g, so
+    reps whose own original-group part is longer than radius are skipped
+    before any set is formed.  Each element is factorised once per call.
     """
     graph = pair.graph
     gp2 = pair.gp_ambient
@@ -233,13 +236,20 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         for c in cliques(pair.doubled)
         if not any(hat.endswith("-") for hat in c)
     ]
+    lengths = {}
+
+    def short(x):
+        if x not in lengths:
+            lengths[x] = pair.factorize(x)[0].length
+        return lengths[x] <= radius
+
     out = set()
     for g in sorted(big, key=gp2.sort_key):
+        if not short(g):
+            continue
         for c in plus_cliques:
             members = _saturate(pair, coset_elements(gp2, g, c))
-            if members in out:
-                continue
-            if all(pair.factorize(x)[0].length <= radius for x in members):
+            if members not in out and all(map(short, members)):
                 out.add(members)
     return out
 

@@ -292,6 +292,14 @@ class GraphProduct:
     def __init__(self, graph):
         self.graph = graph
         self._identity = NormalForm((), 0, graph)
+        # a letter of s cannot move past a letter of any generator in
+        # _conflicts[s]: the non-neighbours of s and s itself
+        self._all_bits = (1 << len(graph.vertices)) - 1
+        self._bits = {s: 1 << i for s, i in graph.index.items()}
+        self._conflicts = {
+            s: self._all_bits & ~sum(self._bits[t] for t in graph.neighbors(s))
+            for s in graph.vertices
+        }
         # <<h>> for every hat letter h, and the generator h itself
         self._hat_subsets = {}
         self.hat_generators = {}
@@ -335,19 +343,20 @@ class GraphProduct:
         letters; a merge to exponent 0 deletes the letter.
         """
         self._check_letters(letters)
-        adjacent = self.graph.adjacent
+        bits = self._bits
         out = []
         for s, e in letters:
             e = self._fold(s, e)
             if e == 0:
                 continue
+            conflicts = self._conflicts[s]
             target = None
             for i in range(len(out) - 1, -1, -1):
                 t = out[i][0]
                 if t == s:
                     target = i
                     break
-                if not adjacent(t, s):
+                if conflicts & bits[t]:
                     break
             if target is None:
                 out.append((s, e))
@@ -360,18 +369,34 @@ class GraphProduct:
         return tuple(out)
 
     def _lex_least_shuffle(self, letters):
-        # Greedy: repeatedly pull the least letter whose whole prefix
-        # commutes with it to the front.  O(n^2), canonical on the
-        # commutation class.
+        """Lex-least word reachable from `letters` by swapping commuting
+        neighbours: repeatedly pull to the front the least letter whose
+        whole prefix commutes with it.
+
+        One scan per output letter carries the union of the prefix's
+        conflict masks, so a letter is movable iff its own bit is clear.  A
+        generator is in its own mask, so an earlier letter of the same
+        generator blocks it as well; movable letters thus have distinct
+        generators and their keys never tie.  The scan stops once every
+        generator is blocked.  O(n^2), canonical on the commutation class.
+        """
+        bits = self._bits
+        conflicts = self._conflicts
+        everything = self._all_bits
+        index = self.graph.index
         pending = list(letters)
-        adjacent = self.graph.adjacent
         out = []
         while pending:
-            best = None
+            blocked = 0
+            best = best_key = None
             for i, (s, e) in enumerate(pending):
-                if all(adjacent(t, s) for t, _ in pending[:i]):
-                    if best is None or self._letter_key((s, e)) < self._letter_key(pending[best]):
-                        best = i
+                if not blocked & bits[s]:
+                    key = (index[s], e)
+                    if best is None or key < best_key:
+                        best, best_key = i, key
+                blocked |= conflicts[s]
+                if blocked == everything:
+                    break
             out.append(pending.pop(best))
         return tuple(out)
 

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from gpcubes.cubes import hat_graph
+from gpcubes.cubes import cliques, coset_elements, hat_graph
 from gpcubes.dj import (
     DJPair,
+    _saturate,
     ambient_graph,
     build_y_ball,
     doubled_graph,
@@ -19,6 +20,26 @@ def pairs(graphs):
         name: DJPair(graphs[name])
         for name in ("single_inf", "single_z3", "free2", "z_squared", "mixed", "inf_dihedral")
     }
+
+
+def unpruned_y_ball(pair, radius):
+    """The common-complex scan without the rep prefilter or the length
+    memo, kept as the reference: every ambient ball element with every
+    clique, each member factorised afresh."""
+    gp2 = pair.gp_ambient
+    big = gp2.enumerate_ball(2 * radius + len(pair.graph.infinite_vertices))
+    plus_cliques = [
+        c for c in cliques(pair.doubled) if not any(hat.endswith("-") for hat in c)
+    ]
+    out = set()
+    for g in sorted(big, key=gp2.sort_key):
+        for c in plus_cliques:
+            members = _saturate(pair, coset_elements(gp2, g, c))
+            if members in out:
+                continue
+            if all(pair.factorize(x)[0].length <= radius for x in members):
+                out.add(members)
+    return out
 
 
 class TestAmbientGraph:
@@ -186,8 +207,6 @@ class TestSaturatedSets:
     def test_signed_subsets_saturate_equally(self, pairs):
         # after multiplying by E the two embeddings agree on the standard
         # subsets, sign by sign
-        from gpcubes.dj import _saturate
-
         p = pairs["single_inf"]
         gp = p.gp
         gpd = p.gp_doubled
@@ -221,6 +240,11 @@ class TestIsoCheck:
         report = iso_check(graphs["inf_dihedral"], 3)
         assert report["ok"]
         assert report["vertices"] == report["vertices_common"] == 13
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_y_ball_matches_the_unpruned_scan(self, pairs, radius):
+        for name, p in pairs.items():
+            assert build_y_ball(p, radius) == unpruned_y_ball(p, radius), name
 
     def test_y_ball_matches_vertex_count(self, graphs):
         p = DJPair(graphs["single_inf"])

@@ -1,10 +1,14 @@
 """Golden certificates: every `check` certificate on the fixtures at
-r = 1, 2, 3 and on the path a-b-c at r = 3 must stay byte-identical.
+r = 1, 2, 3 and on the path a-b-c at r = 3, and every `dj-graphs --radius`
+certificate on the fixtures with an infinite generator at r = 1, 2 and on
+a:inf u:3 b:inf at r = 2, must stay byte-identical.
 
-The digests were recorded from the per-height Morse sweep and the per-call
-edge dictionaries that the single-sweep certificate layer replaced.  Each is
-the SHA-256 of the certificate without its `version` field, serialized as
-`check` prints it.
+The `check` digests were recorded from the per-height Morse sweep and the
+per-call edge dictionaries that the single-sweep certificate layer replaced.
+The `dj-graphs` digests were recorded from the unpruned common-complex scan
+(every ambient ball element E-saturated with every clique) and the
+all-prefix greedy shuffle.  Each is the SHA-256 of the certificate without
+its `version` field, serialized as the command prints it.
 """
 
 import hashlib
@@ -17,6 +21,7 @@ from gpcubes.cli import main
 from conftest import GRAPH_TEXTS
 
 PATH_TEXT = "a:inf\nb:inf\nc:inf\nedge a b\nedge b c\n"
+MIXED3_TEXT = "a:inf\nu:3\nb:inf\nedge a u\n"
 
 GOLDEN = {
     ("single_inf", 1): "2c6e99e9e57288cd6ca1f8e2e9a754fb3ee99dd9ff76a329256fc12ce94097f9",
@@ -47,14 +52,38 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name, radius", sorted(GOLDEN))
-def test_certificate_digest(name, radius, tmp_path):
+DJ_GOLDEN = {
+    ("single_inf", 1): "65d0be858ea50ea2b0f6dfb19fe2b805861246db7fd235cabec89953c25b5534",
+    ("single_inf", 2): "c438cd83bfdf886761ea8dbda1928c096f8434b2e3516ab6b8b674851cbb2d7f",
+    ("free2", 1): "c47c0b14b6123cfeeae690e1fd1d9f180e01e9d0b3a8aa6e0db86d3dc373378e",
+    ("free2", 2): "b794e7955870d7ffae76df2af559f3dc47541c3f1fe671d7b56e812cb4381281",
+    ("z_squared", 1): "753a4019e50f1a3a6911f9f5dd44015973c0ecd0c46a2906d46eab9eb463ec61",
+    ("z_squared", 2): "112de192dfd8ee949fbb8743338f6775f0da05a3468698548ef69fa71c556c96",
+    ("mixed", 1): "bf05c3f959ed50618f24268caa05a989047fe51b9b4ea00383abac5cc5d277a4",
+    ("mixed", 2): "a343d3c695a1e16d6e38e9c02edec1a598a1522035eff54ea21e4c03ccb7711a",
+    ("mixed3", 2): "2ce329bff1c7f25340fe6f9f7a7ef55015575d235d2bbfaa5e1e8f4b84d2279a",
+}
+
+
+def _digest(command, text, radius, tmp_path):
     graph = tmp_path / "input.graph"
-    graph.write_text(PATH_TEXT if name == "path" else GRAPH_TEXTS[name])
+    graph.write_text(text)
     out = tmp_path / "cert.json"
-    argv = ["check", "--graph", str(graph), "--radius", str(radius), "--out", str(out)]
+    argv = [command, "--graph", str(graph), "--radius", str(radius), "--out", str(out)]
     assert main(argv) == 0
     cert = json.loads(out.read_text())
     del cert["version"]
     text = json.dumps(cert, sort_keys=True, indent=2, default=str)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name, radius]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, radius", sorted(GOLDEN))
+def test_certificate_digest(name, radius, tmp_path):
+    text = PATH_TEXT if name == "path" else GRAPH_TEXTS[name]
+    assert _digest("check", text, radius, tmp_path) == GOLDEN[name, radius]
+
+
+@pytest.mark.parametrize("name, radius", sorted(DJ_GOLDEN))
+def test_dj_certificate_digest(name, radius, tmp_path):
+    text = MIXED3_TEXT if name == "mixed3" else GRAPH_TEXTS[name]
+    assert _digest("dj-graphs", text, radius, tmp_path) == DJ_GOLDEN[name, radius]

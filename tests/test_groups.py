@@ -8,6 +8,7 @@ from gpcubes.groups import (
     BudgetExceededError,
     GraphParseError,
     GraphProduct,
+    LabeledGraph,
     UnknownGeneratorError,
     PresentationMismatchError,
     hat_names,
@@ -34,6 +35,38 @@ def all_words(graph, max_letters, exponents):
 
 
 # -- parsing ------------------------------------------------------------------
+
+
+def greedy_shuffle(gp, letters):
+    """The all-prefix greedy that the bitmask shuffle replaced, kept as the
+    reference: pull the least letter whose whole prefix commutes with it."""
+    adjacent = gp.graph.adjacent
+    index = gp.graph.index
+    pending = list(letters)
+    out = []
+    while pending:
+        best = None
+        for i, (s, e) in enumerate(pending):
+            if all(adjacent(t, s) for t, _ in pending[:i]):
+                key = (index[s], e)
+                if best is None or key < (index[pending[best][0]], pending[best][1]):
+                    best = i
+        out.append(pending.pop(best))
+    return tuple(out)
+
+
+@st.composite
+def labelled_graphs(draw, max_vertices=5):
+    """Random presentation graphs with orders in {2, 3, inf}."""
+    names = ["v%d" % i for i in range(draw(st.integers(1, max_vertices)))]
+    orders = {n: draw(st.sampled_from([2, 3, None])) for n in names}
+    edges = [pair for pair in itertools.combinations(names, 2) if draw(st.booleans())]
+    return LabeledGraph(names, orders, edges)
+
+
+def words(graph, max_size):
+    letters = [(s, e) for s in graph.vertices for e in (-2, -1, 1, 2)]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(tuple)
 
 
 class TestParseGraph:
@@ -352,3 +385,27 @@ class TestOracle:
             words = list(all_words(gp.graph, 2, (-1, 1)))
             for w1, w2 in itertools.combinations(words, 2):
                 assert gp.equal(w1, w2) == gp.oracle_equal(w1, w2)
+
+
+class TestShuffleDifferential:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shuffle_matches_the_greedy(self, data):
+        # raw words too: there an earlier letter of the same generator must
+        # block a letter just as a non-commuting one does
+        gp = GraphProduct(data.draw(labelled_graphs()))
+        word = data.draw(words(gp.graph, 10))
+        assert gp._lex_least_shuffle(word) == greedy_shuffle(gp, word)
+        reduced = gp.reduce_word(word)
+        assert gp._lex_least_shuffle(reduced) == greedy_shuffle(gp, reduced)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_normalize_matches_the_oracle(self, data):
+        gp = GraphProduct(data.draw(labelled_graphs()))
+        w1 = data.draw(words(gp.graph, 4))
+        w2 = data.draw(words(gp.graph, 4))
+        assert gp.equal(w1, w2) == gp.oracle_equal(w1, w2)
+        nf = gp.normalize(w1)
+        for w in gp.oracle_closure(w1):
+            assert gp.normalize(w) == nf
