@@ -84,10 +84,19 @@ def _emit_json(data, out):
     _emit(json.dumps(data, sort_keys=True, indent=2, default=str) + "\n", out)
 
 
-def _radius(text):
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError("radius must be a nonnegative integer: %r" % text)
-    return int(text)
+def _nonnegative(what):
+    """An argparse type: a nonnegative integer, named `what` in the error."""
+
+    def parse(text):
+        if not text.isdecimal():
+            raise argparse.ArgumentTypeError("%s must be a nonnegative integer: %r" % (what, text))
+        return int(text)
+
+    return parse
+
+
+_radius = _nonnegative("radius")
+_budget = _nonnegative("budget")
 
 
 def _add_common(sub):
@@ -117,18 +126,18 @@ def make_parser():
         action="store_true",
         help="decide via the rewriting closure instead of normal forms",
     )
-    p.add_argument("--budget-words", type=int, default=DEFAULT_WORD_BUDGET)
+    p.add_argument("--budget-words", type=_budget, default=DEFAULT_WORD_BUDGET)
 
     p = subs.add_parser("build", help="materialize a ball of the complex")
     _add_common(p)
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET)
+    p.add_argument("--budget-elements", type=_budget, default=DEFAULT_ELEMENT_BUDGET)
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
     p = subs.add_parser("check", help="run every certificate on a ball")
     _add_common(p)
     p.add_argument("--radius", type=_radius, required=True)
-    p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET)
+    p.add_argument("--budget-elements", type=_budget, default=DEFAULT_ELEMENT_BUDGET)
 
     p = subs.add_parser(
         "dj-graphs", help="auxiliary presentations and the ball isomorphism"
@@ -139,7 +148,7 @@ def make_parser():
         type=_radius,
         help="also certify the common-complex isomorphism on this ball",
     )
-    p.add_argument("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET)
+    p.add_argument("--budget-elements", type=_budget, default=DEFAULT_ELEMENT_BUDGET)
 
     return parser
 

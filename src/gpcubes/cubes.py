@@ -15,6 +15,7 @@ predicate (all cofaces of the vertex exist inside the ball).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .groups import (
     GraphProduct,
     LabeledGraph,
     hat_base,
+    hat_name,
     hat_names,
 )
 
@@ -102,6 +104,30 @@ def clique_at(gp, elements, at):
     return frozenset(
         hat for hat, h in gp.hat_generators.items() if gp.multiply(at, h) in elements
     )
+
+
+def added_hat(gp, graph, bottom, top):
+    """The hat letter h with top = bottom.rep<<bottom.clique + h>>, for a
+    cover bottom < top.
+
+    Only the hat letters of the one base generator that top adds are tried
+    at bottom.rep; a SoundnessError unless exactly one of them lands in top
+    and |top| = |bottom| * |<<h>>|."""
+    bases = {hat_base(graph, hat)[0] for hat in top.clique}
+    bases -= {hat_base(graph, hat)[0] for hat in bottom.clique}
+    if len(bases) != 1:
+        raise SoundnessError("cover %r of %r adds bases %r" % (top, bottom, sorted(bases)))
+    (base,) = bases
+    landed = [
+        hat
+        for hat in dict.fromkeys(hat_name(graph, base, sign) for sign in (1, -1))
+        if gp.multiply(bottom.rep, gp.hat_generators[hat]) in top.elements
+    ]
+    if len(landed) != 1 or len(top.elements) != len(bottom.elements) * len(
+        gp.hat_subset(landed[0])
+    ):
+        raise SoundnessError("cover %r of %r adds hats %r" % (top, bottom, landed))
+    return landed[0]
 
 
 class CosetVertex:
@@ -219,7 +245,10 @@ def flag_complex(graph):
 
 class CubeBall:
     """All vertices of the complex with coset max length <= radius, with
-    every cube among them.  Immutable once built; queries are pure."""
+    every cube among them.  Immutable once built; queries are pure.  The
+    indexes that cube_vertices and cubes_containing read (element ->
+    vertices, vertex -> cubes) are built on first use, as only the checks
+    need them."""
 
     def __init__(self, graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         self.graph = graph
@@ -316,33 +345,60 @@ class CubeBall:
         return out
 
     def cubes_containing(self, v):
-        return [
-            c
-            for c in self.cubes
-            if c.bottom.elements <= v.elements and v.elements <= c.top.elements
-        ]
+        """The cubes whose interval holds v, in ball.cubes order."""
+        return list(self._cubes_at.get(v, ()))
 
     def cube_vertices(self, cube):
-        """The 2^dim vertices of an interval cube.
+        """The 2^dim vertices of an interval cube, bottom first.
 
-        The top's clique is re-standardized at the bottom's rep first: the
-        canonical cliques of the two endpoints may disagree in the signs of
-        infinite letters.
+        The others follow in itertools.combinations order over the base
+        generators each adds to the bottom, by graph index: the signs of the
+        endpoints' infinite letters may differ, their bases may not.
         """
-        gp = self.gp
-        bottom = cube.bottom
-        top_clique = clique_at(gp, cube.top.elements, bottom.rep)
-        diff = sorted(top_clique - bottom.clique, key=self.delta.index.__getitem__)
-        if len(diff) != cube.dim:
-            raise SoundnessError("cube %r of dimension %d adds hats %r" % (cube, cube.dim, diff))
-        out = [
-            self._by_elements[coset_elements(gp, bottom.rep, bottom.clique | frozenset(extra))]
-            for k in range(len(diff) + 1)
-            for extra in itertools.combinations(diff, k)
-        ]
-        if len(set(out)) != 2 ** cube.dim:
-            raise SoundnessError("cube %r has repeated vertices" % (cube,))
+        return self._interval(cube)
+
+    @functools.cached_property
+    def _holding(self):
+        """Element -> the vertices whose coset holds it."""
+        out = {}
+        for v in self.vertices:
+            for x in v.elements:
+                out.setdefault(x, []).append(v)
         return out
+
+    @functools.cached_property
+    def _base_index(self):
+        """Hat letter -> graph index of its base generator."""
+        graph = self.graph
+        return {hat: graph.index[hat_base(graph, hat)[0]] for hat in self.delta.vertices}
+
+    @functools.cached_property
+    def _cubes_at(self):
+        """Vertex -> the cubes whose interval holds it, in ball.cubes order."""
+        out = {}
+        for cube in self.cubes:
+            for w in self._interval(cube):
+                out.setdefault(w, []).append(cube)
+        return out
+
+    def _interval(self, cube):
+        """The vertices w with bottom <= w <= top, found by inclusion among
+        those holding bottom.rep; a SoundnessError unless they are 2^dim,
+        one per set of added bases."""
+        bottom, top = cube.bottom, cube.top
+        base_index = self._base_index
+        below = {base_index[h] for h in bottom.clique}
+        keyed = {}
+        found = 0
+        for w in self._holding[bottom.rep]:
+            if bottom.elements <= w.elements <= top.elements:
+                found += 1
+                keyed[tuple(sorted({base_index[h] for h in w.clique} - below))] = w
+        if not found == len(keyed) == 2 ** cube.dim:
+            raise SoundnessError(
+                "cube %r of dimension %d spans %d vertices" % (cube, cube.dim, found)
+            )
+        return [keyed[k] for k in sorted(keyed, key=lambda k: (len(k), k))]
 
 
 def build_ball(graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
@@ -364,17 +420,13 @@ def vertex_link(ball, v):
     """The link of an interior vertex, with its up/down join decomposition.
 
     Simplices of the link correspond to cubes containing v; an up-link
-    vertex is a cover above v, a down-link vertex a cover below.
+    vertex is a cover above v, labelled by the hat letter it adds
+    (added_hat), a down-link vertex a cover below.
     """
     if not ball.is_interior(v):
         raise NotInteriorError("link of %r is truncated by the ball boundary" % v)
     ups = ball.covers_up(v)
-    up_hats = {}
-    for w in ups:
-        extra = clique_at(ball.gp, w.elements, v.rep) - v.clique
-        if len(extra) != 1:
-            raise SoundnessError("cover %r of %r adds hats %r" % (w, v, sorted(extra)))
-        up_hats[w] = next(iter(extra))
+    up_hats = {w: added_hat(ball.gp, ball.graph, v, w) for w in ups}
     down_classes = ball.covers_down(v)
     downs = [d for members in down_classes.values() for d in members]
 
@@ -432,18 +484,16 @@ def check_link_models(ball, v, link=None):
 
 
 def stabilizer(gp, v):
-    """Elements fixing the vertex, i.e. permuting its coset; always finite."""
-    sub = sorted(
-        {gp.multiply(gp.invert(v.rep), x) for x in v.elements}, key=gp.sort_key
-    )
-    candidates = {
-        gp.multiply(gp.multiply(v.rep, gp.multiply(q, gp.invert(p))), gp.invert(v.rep))
-        for q in sub
-        for p in sub
-    }
+    """Elements fixing the vertex, i.e. permuting its coset; always finite.
+
+    h fixes v only if h*rep lies in the coset, so the candidates are
+    x*rep^-1 for x in it; each is kept only if it maps the whole coset into
+    itself (left multiplication is injective, so then onto it)."""
+    rep_inv = gp.invert(v.rep)
     out = []
-    for h in candidates:
-        if frozenset(gp.multiply(h, x) for x in v.elements) == v.elements:
+    for x in v.elements:
+        h = gp.multiply(x, rep_inv)
+        if all(gp.multiply(h, y) in v.elements for y in v.elements):
             out.append(h)
     if gp.identity not in out:
         raise SoundnessError("the identity does not fix %r" % (v,))

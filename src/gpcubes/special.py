@@ -11,14 +11,14 @@ checkable on a finite ball.
 
 from __future__ import annotations
 
-from .cubes import SoundnessError, clique_at
+from .cubes import SoundnessError, added_hat
 from .groups import hat_base
 
 
 def edge_hat(ball, edge):
-    """The hat letter an edge adds, standardized at the bottom's rep."""
-    (hat,) = clique_at(ball.gp, edge.top.elements, edge.bottom.rep) - edge.bottom.clique
-    return hat
+    """The hat letter an edge adds, standardized at the bottom's rep: one
+    or two products at that rep, checked by added_hat."""
+    return added_hat(ball.gp, ball.graph, edge.bottom, edge.top)
 
 
 def trailing_power(gp, g, base):

@@ -87,6 +87,10 @@ class TestErrors:
             ("1:2\n", ["normalize", "1"]),  # prints as the identity
             ("a:inf\n", ["check", "--radius", "-1"]),
             (None, ["build", "--radius", "1"]),  # the graph path is a directory
+            ("a:inf\n", ["build", "--radius", "2", "--budget-elements", "-1"]),
+            ("a:inf\n", ["check", "--radius", "1", "--budget-elements", "-5"]),
+            ("a:inf\n", ["dj-graphs", "--radius", "1", "--budget-elements", "-1"]),
+            ("a:inf\n", ["equal", "--budget-words", "-1", "a", "a"]),
         ],
     )
     def test_bad_input_exits_two(self, tmp_path, capsys, text, argv):

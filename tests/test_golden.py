@@ -1,10 +1,13 @@
 """Golden certificates: every `check` certificate on the fixtures at
-r = 1, 2, 3 and on the path a-b-c at r = 3, and every `dj-graphs --radius`
+r = 1, 2, 3 and on the path a-b-c at r = 3, 4, and every `dj-graphs --radius`
 certificate on the fixtures with an infinite generator at r = 1, 2 and on
 a:inf u:3 b:inf at r = 2, must stay byte-identical.
 
 The `check` digests were recorded from the per-height Morse sweep and the
-per-call edge dictionaries that the single-sweep certificate layer replaced.
+per-call edge dictionaries that the single-sweep certificate layer replaced;
+the path's r = 4 digest (the `check-raag` benchmark workload) from the
+model-built cube vertices, the |S|^2 stabilizer and the per-hat-letter edge
+read-off that the ball's inclusion index replaced.
 The `dj-graphs` digests were recorded from the unpruned common-complex scan
 (every ambient ball element E-saturated with every clique) and the
 all-prefix greedy shuffle.  Each is the SHA-256 of the certificate without
@@ -49,6 +52,7 @@ GOLDEN = {
     ("mixed", 2): "39e6c4558940bd17e1344f272bad99a98e60cd686cb56f8c7e86c6de1b439360",
     ("mixed", 3): "bb993a6ab3395d6f237e39a7c8a370b0eb36ade47b060265637c7725bbf423ea",
     ("path", 3): "1cea5a195130b13b3b33dea98a0f990d670de9440f0b6f613474c1b720f22b75",
+    ("path", 4): "c510e473c6f54aa6d31787372d80dbbd5d00fa60c9034b790375e0c862614ebf",
 }
 
 
