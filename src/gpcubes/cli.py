@@ -267,12 +267,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        GraphParseError,
-        UnknownGeneratorError,
-        FileNotFoundError,
-        IsADirectoryError,
-    ) as err:
+    except (GraphParseError, UnknownGeneratorError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except BudgetExceededError as err:

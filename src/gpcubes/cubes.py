@@ -174,11 +174,6 @@ def coset_vertex(gp, g, clique):
     return CosetVertex(rep, canonical, elements)
 
 
-def poset_leq(a, b):
-    """Inclusion order on coset vertices."""
-    return a.elements <= b.elements
-
-
 @dataclass(frozen=True)
 class Cube:
     """Interval [bottom, top]; the 2^dim intermediate vertices are
@@ -204,13 +199,6 @@ class SimplicialComplex:
 
     def has_face(self, f):
         return frozenset(f) in self.faces
-
-    @property
-    def maximal_faces(self):
-        return [f for f in self.faces if not any(f < g for g in self.faces)]
-
-    def skeleton_edges(self):
-        return [f for f in self.faces if len(f) == 2]
 
     def join(self, other):
         return SimplicialComplex(
@@ -238,17 +226,16 @@ def is_flag(complex_):
     return all(complex_.has_face(c) for c in cs)
 
 
-def flag_complex(graph):
-    """The flag complex of a LabeledGraph: faces are its cliques."""
-    return SimplicialComplex(graph.vertices, cliques(graph))
-
-
 class CubeBall:
     """All vertices of the complex with coset max length <= radius, with
-    every cube among them.  Immutable once built; queries are pure.  The
-    indexes that cube_vertices and cubes_containing read (element ->
-    vertices, vertex -> cubes) are built on first use, as only the checks
-    need them."""
+    every cube among them.  Immutable once built; queries are pure.
+
+    Every query about what lies next to a vertex reads one incidence: each
+    cube's interval, searched for once by inclusion through an element ->
+    vertices index, and from it vertex -> the cubes holding it.
+    cube_vertices and cubes_containing return it as it stands; the covers
+    of v are the other ends of the edges at v.  These indexes are built on
+    first use, as only the checks need them."""
 
     def __init__(self, graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         self.graph = graph
@@ -275,20 +262,15 @@ class CubeBall:
         )
         self._by_elements = {v.elements: v for v in self.vertices}
 
-        self._interior = set()
-        self._covers_up = {v: [] for v in self.vertices}
-        for v in self.vertices:
-            complete = True
-            for c in self.cliques:
-                if not v.clique < c:
-                    continue
-                w = self._by_elements.get(coset_elements(gp, v.rep, c))
-                if w is None:
-                    complete = False
-                elif len(c) == len(v.clique) + 1:
-                    self._covers_up[v].append(w)
-            if complete:
-                self._interior.add(v)
+        self._interior = {
+            v
+            for v in self.vertices
+            if all(
+                coset_elements(gp, v.rep, c) in self._by_elements
+                for c in self.cliques
+                if v.clique < c
+            )
+        }
 
         seen = set()
         cubes = []
@@ -330,18 +312,19 @@ class CubeBall:
         return [v for v in self.vertices if v in self._interior]
 
     def covers_up(self, v):
-        return list(self._covers_up[v])
+        """The vertices directly above v: the tops of the edges v bottoms."""
+        return [c.top for c in self._cubes_at.get(v, ()) if c.dim == 1 and c.bottom is v]
 
     def covers_down(self, v):
-        """The vertices directly below v, grouped by the removed hat letter."""
-        gp = self.gp
-        out = {}
-        for hat in sorted(v.clique, key=self.delta.index.__getitem__):
-            rest = v.clique - {hat}
-            out[hat] = [
-                self._by_elements[coset_elements(gp, gp.multiply(v.rep, h), rest)]
-                for h in sorted(gp.hat_subset(hat), key=gp.sort_key)
-            ]
+        """The vertices directly below v: the bottoms of the edges v tops,
+        grouped by the hat letter of v.clique whose base they lack."""
+        base_index = self._base_index
+        out = {hat: [] for hat in sorted(v.clique, key=self.delta.index.__getitem__)}
+        for c in self._cubes_at.get(v, ()):
+            if c.dim == 1 and c.top is v:
+                kept = {base_index[h] for h in c.bottom.clique}
+                (hat,) = [h for h in out if base_index[h] not in kept]
+                out[hat].append(c.bottom)
         return out
 
     def cubes_containing(self, v):
@@ -353,8 +336,12 @@ class CubeBall:
 
         The others follow in itertools.combinations order over the base
         generators each adds to the bottom, by graph index: the signs of the
-        endpoints' infinite letters may differ, their bases may not.
+        endpoints' infinite letters may differ, their bases may not.  A cube
+        not in ball.cubes is searched for afresh, and raises as _interval
+        does.
         """
+        if cube in self._intervals:
+            return list(self._intervals[cube])
         return self._interval(cube)
 
     @functools.cached_property
@@ -373,11 +360,16 @@ class CubeBall:
         return {hat: graph.index[hat_base(graph, hat)[0]] for hat in self.delta.vertices}
 
     @functools.cached_property
+    def _intervals(self):
+        """Cube -> its vertices, each interval searched for once."""
+        return {cube: self._interval(cube) for cube in self.cubes}
+
+    @functools.cached_property
     def _cubes_at(self):
         """Vertex -> the cubes whose interval holds it, in ball.cubes order."""
         out = {}
-        for cube in self.cubes:
-            for w in self._interval(cube):
+        for cube, interval in self._intervals.items():
+            for w in interval:
                 out.setdefault(w, []).append(cube)
         return out
 
@@ -419,9 +411,10 @@ class LinkDecomposition:
 def vertex_link(ball, v):
     """The link of an interior vertex, with its up/down join decomposition.
 
-    Simplices of the link correspond to cubes containing v; an up-link
-    vertex is a cover above v, labelled by the hat letter it adds
-    (added_hat), a down-link vertex a cover below.
+    Simplices of the link correspond to cubes containing v, each spanned
+    by the covers of v in its interval; an up-link vertex is a cover above
+    v, labelled by the hat letter it adds (added_hat), a down-link vertex
+    a cover below.
     """
     if not ball.is_interior(v):
         raise NotInteriorError("link of %r is truncated by the ball boundary" % v)
@@ -430,11 +423,8 @@ def vertex_link(ball, v):
     down_classes = ball.covers_down(v)
     downs = [d for members in down_classes.values() for d in members]
 
-    faces = []
-    for cube in ball.cubes_containing(v):
-        face = {d for d in downs if cube.bottom.elements <= d.elements}
-        face |= {w for w in ups if w.elements <= cube.top.elements}
-        faces.append(face)
+    covers = set(downs + ups)
+    faces = [covers.intersection(ball.cube_vertices(c)) for c in ball.cubes_containing(v)]
     link = SimplicialComplex(tuple(downs) + tuple(ups), faces)
     up = SimplicialComplex(ups, [f & set(ups) for f in faces])
     down = SimplicialComplex(downs, [f & set(downs) for f in faces])

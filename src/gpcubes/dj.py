@@ -126,37 +126,6 @@ class DJPair:
             tuple((_zero(s), 1) for s in sorted(e))
         )
 
-    def e_projection(self, g):
-        """Retraction of the ambient group onto (Z/2)^{infinite generators}:
-        finite letters die, s+ and s0 both hit the s coordinate."""
-        odd = set()
-        for x, e in g.letters:
-            if x in self.graph.orders:
-                continue
-            s = x[:-1]
-            if e % 2:
-                odd.symmetric_difference_update({s})
-        return frozenset(odd)
-
-    def conj_by_e(self, e, g):
-        """Conjugation action of E pulled back to the original group:
-        letters of generators in e get inverted."""
-        return self.gp.normalize(
-            tuple((s, -k if s in e else k) for s, k in g.letters)
-        )
-
-    def conj_by_e_doubled(self, e, g):
-        """The same action on the doubled-graph group: signs of hat letters
-        of generators in e flip."""
-        out = []
-        for hat, k in g.letters:
-            base, sign = hat_base(self.graph, hat)
-            if not self.graph.is_finite(base) and base in e:
-                out.append((base + ("-" if sign > 0 else "+"), k))
-            else:
-                out.append((hat, k))
-        return self.gp_doubled.normalize(tuple(out))
-
     # -- factorization -----------------------------------------------------------
 
     def factorize(self, g):

@@ -54,17 +54,15 @@ def descending_link(ball, v):
     height-maximal vertex.
     """
     link = vertex_link(ball, v)
+    covers = set(link.complex.vertices)
     ups = set(link.up.vertices)
-    downs = set(link.down.vertices)
-    faces_up = []
-    faces_down = []
-    for cube in ball.cubes_containing(v):
-        if cube_max_vertex(ball, cube) != v:
-            continue
-        face = {d for d in downs if cube.bottom.elements <= d.elements}
-        face |= {w for w in ups if w.elements <= cube.top.elements}
-        faces_up.append(face & ups)
-        faces_down.append(face & downs)
+    faces = [
+        covers.intersection(ball.cube_vertices(cube))
+        for cube in ball.cubes_containing(v)
+        if cube_max_vertex(ball, cube) == v
+    ]
+    faces_up = [f & ups for f in faces]
+    faces_down = [f - ups for f in faces]
     up_vertices = sorted({x for f in faces_up for x in f}, key=lambda w: ball.gp.sort_key(w.rep))
     down_vertices = sorted(
         {x for f in faces_down for x in f}, key=lambda w: ball.gp.sort_key(w.rep)

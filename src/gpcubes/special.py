@@ -39,12 +39,6 @@ def full_label(ball, edge):
     return (hat, trailing_power(ball.gp, edge.bottom.rep, base))
 
 
-def hat_label(ball, edge):
-    """Coarser label: the hat letter alone (too coarse to certify
-    specialness; kept for the certificate's census)."""
-    return edge_hat(ball, edge)
-
-
 def base_label(ball, edge):
     """Coarser label that forgets the sign of infinite letters (useful as a
     deliberately broken labelling in negative controls)."""
@@ -162,10 +156,12 @@ def check_special(ball, label_fn=None):
         for i, j in ((e0, e2), (e0, e3), (e1, e2), (e1, e3)):
             corners.add((min(i, j), max(i, j)))
 
-    incident = {v: [] for v in ball.vertices}
-    for i, e in enumerate(edges):
-        incident[e.bottom].append(i)
-        incident[e.top].append(i)
+    # ball.edges is the dim-1 prefix of ball.cubes, and cubes_containing
+    # keeps cubes order, so each vertex's edge positions ascend
+    incident = {
+        v: [index[c.bottom, c.top] for c in ball.cubes_containing(v) if c.dim == 1]
+        for v in ball.vertices
+    }
 
     for v in ball.vertices:
         around = incident[v]

@@ -38,6 +38,11 @@ def fresh_python(code, *flags):
     )
 
 
+def maximal_faces(complex_):
+    """The faces of a SimplicialComplex that lie in no other face."""
+    return [f for f in complex_.faces if not any(f < g for g in complex_.faces)]
+
+
 @pytest.fixture(scope="session")
 def graphs():
     return {name: parse_graph(text) for name, text in GRAPH_TEXTS.items()}

@@ -91,14 +91,25 @@ class TestErrors:
             ("a:inf\n", ["check", "--radius", "1", "--budget-elements", "-5"]),
             ("a:inf\n", ["dj-graphs", "--radius", "1", "--budget-elements", "-1"]),
             ("a:inf\n", ["equal", "--budget-words", "-1", "a", "a"]),
+            ("a:inf\n", ["build", "--radius", "1", "--out", "{graph}/x.json"]),  # not a directory
+            ("a:inf\n", ["check", "--radius", "1", "--out", "{denied}"]),  # no write permission
         ],
     )
-    def test_bad_input_exits_two(self, tmp_path, capsys, text, argv):
+    def test_bad_input_exits_two(self, tmp_path, capsys, monkeypatch, text, argv):
         path = tmp_path / "input.graph"
         if text is None:
             path.mkdir()
         else:
             path.write_text(text)
+        denied = str(tmp_path / "denied.json")
+
+        def guarded_open(file, *args, **kwargs):
+            if file == denied:
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+        argv = [arg.replace("{graph}", str(path)).replace("{denied}", denied) for arg in argv]
         try:
             code = main([argv[0], "--graph", str(path)] + argv[1:])
         except SystemExit as exc:  # argparse rejects the arguments

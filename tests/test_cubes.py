@@ -16,17 +16,30 @@ from gpcubes.cubes import (
     cliques,
     coset_elements,
     coset_vertex,
-    flag_complex,
     fundamental_domain_check,
     hat_graph,
     is_flag,
-    poset_leq,
     stabilizer,
     std_subset,
     vertex_link,
 )
 
-from conftest import fresh_python
+from conftest import fresh_python, maximal_faces
+
+
+def poset_leq(a, b):
+    """Inclusion order on coset vertices."""
+    return a.elements <= b.elements
+
+
+def flag_complex(graph):
+    """The flag complex of a LabeledGraph: faces are its cliques."""
+    return SimplicialComplex(graph.vertices, cliques(graph))
+
+
+def skeleton_edges(complex_):
+    """The faces of a SimplicialComplex with two vertices."""
+    return [f for f in complex_.faces if len(f) == 2]
 
 
 @pytest.fixture(scope="module")
@@ -225,14 +238,14 @@ class TestSimplicialComplex:
     def test_downward_closure(self):
         k = SimplicialComplex("abc", [frozenset("abc")])
         assert k.has_face("ab") and k.has_face("c") and k.has_face("")
-        assert k.maximal_faces == [frozenset("abc")]
+        assert maximal_faces(k) == [frozenset("abc")]
 
     def test_join(self):
         a = SimplicialComplex("ab", [frozenset("a"), frozenset("b")])
         b = SimplicialComplex("cd", [frozenset("c"), frozenset("d")])
         j = a.join(b)
         assert j.has_face("ac") and not j.has_face("ab")
-        assert sorted(map(len, j.maximal_faces)) == [2, 2, 2, 2]
+        assert sorted(map(len, maximal_faces(j))) == [2, 2, 2, 2]
 
     def test_flag(self):
         full = SimplicialComplex("abc", [frozenset("abc")])
@@ -344,7 +357,7 @@ class TestLinks:
         lk = vertex_link(b, b.vertex({b.gp.identity}))
         # two isolated points: one per direction
         assert len(lk.up.vertices) == 2 and not lk.down.vertices
-        assert sorted(map(len, lk.complex.maximal_faces)) == [1, 1]
+        assert sorted(map(len, maximal_faces(lk.complex))) == [1, 1]
         assert set(lk.up_hats.values()) == {"a+", "a-"}
 
     def test_real_line_edge_midpoint(self, balls):
@@ -357,8 +370,8 @@ class TestLinks:
         b = balls["z_squared"]
         lk = vertex_link(b, b.vertex({b.gp.identity}))
         assert len(lk.up.vertices) == 4
-        assert len(lk.complex.skeleton_edges()) == 4
-        assert sorted(map(len, lk.complex.maximal_faces)) == [2, 2, 2, 2]
+        assert len(skeleton_edges(lk.complex)) == 4
+        assert sorted(map(len, maximal_faces(lk.complex))) == [2, 2, 2, 2]
 
     def test_links_are_flag(self, balls):
         for name in ("single_inf", "z_squared", "mixed", "pentagon", "inf_dihedral"):

@@ -20,6 +20,8 @@ from gpcubes.morse import (
     sublevel_eulers,
 )
 
+from conftest import maximal_faces
+
 
 @pytest.fixture(scope="module")
 def balls(graphs):
@@ -110,7 +112,7 @@ class TestDescendingLink:
         gp = b.gp
         up, down = descending_link(b, b.vertex({gp.generator("u")}))
         assert len(up.vertices) == 1 and not down.vertices
-        assert sorted(map(len, up.join(down).maximal_faces)) == [1]
+        assert sorted(map(len, maximal_faces(up.join(down)))) == [1]
 
 
 class TestDescentChecks:

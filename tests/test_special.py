@@ -8,7 +8,6 @@ from gpcubes.special import (
     check_special,
     edge_hat,
     full_label,
-    hat_label,
     hyperplanes,
     torsion_projection,
     trailing_power,
@@ -66,7 +65,6 @@ class TestLabels:
         b = balls["free2"]
         e = b.edges[0]
         hat, k = full_label(b, e)
-        assert hat_label(b, e) == hat
         assert base_label(b, e) == (hat.rstrip("+-"), k)
         assert edge_hat(b, e) == hat
 
