@@ -298,6 +298,7 @@ class CubeBall:
         self.cubes = cubes
         self.edges = [c for c in cubes if c.dim == 1]
         self.squares = [c for c in cubes if c.dim == 2]
+        self._edge_hats = {}
 
     # -- queries ---------------------------------------------------------------
 
@@ -330,6 +331,13 @@ class CubeBall:
     def cubes_containing(self, v):
         """The cubes whose interval holds v, in ball.cubes order."""
         return list(self._cubes_at.get(v, ()))
+
+    def edge_hat(self, edge):
+        """The hat letter an edge adds, standardized at the bottom's rep:
+        added_hat, formed once per edge and kept."""
+        if edge not in self._edge_hats:
+            self._edge_hats[edge] = added_hat(self.gp, self.graph, edge.bottom, edge.top)
+        return self._edge_hats[edge]
 
     def cube_vertices(self, cube):
         """The 2^dim vertices of an interval cube, bottom first.
@@ -413,13 +421,13 @@ def vertex_link(ball, v):
 
     Simplices of the link correspond to cubes containing v, each spanned
     by the covers of v in its interval; an up-link vertex is a cover above
-    v, labelled by the hat letter it adds (added_hat), a down-link vertex
+    v, labelled by the hat letter it adds (ball.edge_hat), a down-link vertex
     a cover below.
     """
     if not ball.is_interior(v):
         raise NotInteriorError("link of %r is truncated by the ball boundary" % v)
     ups = ball.covers_up(v)
-    up_hats = {w: added_hat(ball.gp, ball.graph, v, w) for w in ups}
+    up_hats = {w: ball.edge_hat(Cube(v, w, 1)) for w in ups}
     down_classes = ball.covers_down(v)
     downs = [d for members in down_classes.values() for d in members]
 

@@ -130,48 +130,45 @@ class DJPair:
 
     def factorize(self, g):
         """Unique writing g = beta(a) * e_hat(e); raises if the residual
-        check fails (it cannot, for honest inputs)."""
-        gp = self.gp
-        a = gp.identity
-        e = frozenset()
+        check fails (it cannot, for honest inputs).  The letters of a are
+        collected in one pass and normalized once."""
+        out = []
+        e = set()
         for x, k in g.letters:
             if x in self.graph.orders:
-                a = gp.multiply(a, gp.generator(x, k))
+                out.append((x, k))
             elif x.endswith("+"):
                 s = x[:-1]
-                for _ in range(k % 2):
-                    a = gp.multiply(a, gp.generator(s, -1 if s in e else 1))
-                    e = e ^ {s}
-            else:
-                s = x[:-1]
                 if k % 2:
-                    e = e ^ {s}
-        check = self.gp_ambient.multiply(self.beta(a), self.e_hat(e))
-        if check != g:
+                    out.append((s, -1 if s in e else 1))
+                    e ^= {s}
+            elif k % 2:
+                e ^= {x[:-1]}
+        a = self.gp.normalize(tuple(out))
+        e = frozenset(e)
+        if self.gp_ambient.multiply(self.beta(a), self._e_elements[e]) != g:
             raise SoundnessError("factorization failed for %s" % g)
-        return a, frozenset(e)
+        return a, e
 
     def factorize_doubled(self, g):
-        """Unique writing g = alpha(a) * e_hat(e) over the doubled graph."""
-        gp = self.gp_doubled
-        a = gp.identity
-        e = frozenset()
+        """Unique writing g = alpha(a) * e_hat(e) over the doubled graph,
+        with the letters of a normalized once as in factorize."""
+        out = []
+        e = set()
         for x, k in g.letters:
             if x in self.graph.orders:
-                a = gp.multiply(a, gp.generator(x, k))
+                out.append((x, k))
             elif x.endswith("+"):
                 s = x[:-1]
-                for _ in range(k % 2):
-                    hat = s + ("-" if s in e else "+")
-                    a = gp.multiply(a, gp.generator(hat))
-            else:
-                s = x[:-1]
                 if k % 2:
-                    e = e ^ {s}
-        check = self.gp_ambient.multiply(self.alpha(a), self.e_hat(e))
-        if check != g:
+                    out.append((s + ("-" if s in e else "+"), 1))
+            elif k % 2:
+                e ^= {x[:-1]}
+        a = self.gp_doubled.normalize(tuple(out))
+        e = frozenset(e)
+        if self.gp_ambient.multiply(self.alpha(a), self._e_elements[e]) != g:
             raise SoundnessError("factorization failed for %s" % g)
-        return a, frozenset(e)
+        return a, e
 
 
 # -- the common coset complex -------------------------------------------------------
@@ -192,7 +189,8 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     2*radius + #infinite generators, so scanning the ambient ball of that
     radius finds each vertex at least once.  A set contains its rep g, so
     reps whose own original-group part is longer than radius are skipped
-    before any set is formed.  Each element is factorised once per call.
+    before any set is formed.  Each element is factorised, and its E-orbit
+    formed, once per call.
     """
     graph = pair.graph
     gp2 = pair.gp_ambient
@@ -206,18 +204,25 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         if not any(hat.endswith("-") for hat in c)
     ]
     lengths = {}
+    orbits = {}
+    es = pair._e_elements.values()
 
     def short(x):
         if x not in lengths:
             lengths[x] = pair.factorize(x)[0].length
         return lengths[x] <= radius
 
+    def orbit(x):
+        if x not in orbits:
+            orbits[x] = frozenset(gp2.multiply(x, e) for e in es)
+        return orbits[x]
+
     out = set()
     for g in sorted(big, key=gp2.sort_key):
         if not short(g):
             continue
         for c in plus_cliques:
-            members = _saturate(pair, coset_elements(gp2, g, c))
+            members = frozenset().union(*map(orbit, coset_elements(gp2, g, c)))
             if members not in out and all(map(short, members)):
                 out.add(members)
     return out

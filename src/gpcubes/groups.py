@@ -240,7 +240,9 @@ class NormalForm:
     graph: LabeledGraph = field(compare=False, repr=False, hash=False)
 
     def __hash__(self):
-        return hash(self.letters)
+        # CPython hashes -1 like -2, so a^-1 and a^-2 would collide and
+        # cancel in the hash of a coset holding both; doubled exponents differ
+        return hash(tuple([(s, e + e) for s, e in self.letters]))
 
     def __str__(self):
         return format_word(self.letters)
@@ -476,24 +478,72 @@ class GraphProduct:
     # -- enumeration ---------------------------------------------------------
 
     def enumerate_ball(self, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
-        """All elements of length <= radius, as canonical normal forms."""
+        """All elements of length <= radius, as canonical normal forms.
+
+        No products are formed: each normal form is built from the one
+        before its last letter.  A reduced word is lex-least in its
+        commutation class iff it has no factor b u a with a < b, where a
+        commutes with b and with every letter of u (Anisimov-Knuth,
+        "Inhomogeneous sorting", 1979).  So a normal form w followed by a
+        letter of s is again one iff a scan back from the end of w meets
+        neither a letter of s (the two would merge) nor a commuting letter
+        of larger graph index (s would sort before it) before the first
+        letter conflicting with s.  The exponent of s ranges over 1..c-1
+        for a finite order c, and over +-1..+-(radius - |w|) for an
+        infinite one.  Every prefix of a normal form is one, so each element
+        is built exactly once.  Raises BudgetExceededError as soon as the
+        count passes max_elements.
+        """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        moves = [self.generator(s, e) for s in self.graph.vertices for e in (1, -1)]
-        seen = {self.identity}
-        queue = deque(seen)
-        while queue:
-            g = queue.popleft()
-            for m in moves:
-                h = self.multiply(g, m)
-                if h.length <= radius and h not in seen:
-                    seen.add(h)
-                    if len(seen) > max_elements:
-                        raise BudgetExceededError(
-                            "ball of radius %d exceeds %d elements" % (radius, max_elements)
+        graph = self.graph
+        bits = self._bits
+        # one scan back from the end of w decides every s at once: a letter
+        # of t lets the other generators it conflicts with follow, and passes
+        # the scan on for its neighbours of larger index; t itself (it would
+        # merge) and its smaller neighbours (they would sort before it) may
+        # not follow
+        ends = {t: self._conflicts[t] & ~bits[t] for t in graph.vertices}
+        passes = {
+            t: sum(bits[s] for s in graph.neighbors(t) if graph.index[s] > graph.index[t])
+            for t in graph.vertices
+        }
+        # the letters of each generator with their lengths, shortest first
+        letters = {
+            s: [(e, 1) for e in range(1, c)]
+            if c is not None
+            else [(sign * k, k) for k in range(1, radius + 1) for sign in (1, -1)]
+            for s, c in graph.orders.items()
+        }
+        by_length = [[] for _ in range(radius + 1)]
+        by_length[0].append(self._identity)
+        count = 1
+        for n, level in enumerate(by_length):
+            room = radius - n
+            for w in level:
+                pending = self._all_bits
+                may_follow = 0
+                for t, _ in reversed(w.letters):
+                    may_follow |= pending & ends[t]
+                    pending &= passes[t]
+                    if not pending:
+                        break
+                may_follow |= pending
+                for s in graph.vertices:
+                    if not may_follow & bits[s]:
+                        continue
+                    for e, k in letters[s]:
+                        if k > room:
+                            break
+                        by_length[n + k].append(
+                            NormalForm(w.letters + ((s, e),), n + k, graph)
                         )
-                    queue.append(h)
-        return frozenset(seen)
+                        count += 1
+                        if count > max_elements:
+                            raise BudgetExceededError(
+                                "ball of radius %d exceeds %d elements" % (radius, max_elements)
+                            )
+        return frozenset(w for level in by_length for w in level)
 
     # -- the ground-truth oracle ----------------------------------------------
 

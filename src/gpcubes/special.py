@@ -11,14 +11,14 @@ checkable on a finite ball.
 
 from __future__ import annotations
 
-from .cubes import SoundnessError, added_hat
+from .cubes import SoundnessError
 from .groups import hat_base
 
 
 def edge_hat(ball, edge):
-    """The hat letter an edge adds, standardized at the bottom's rep: one
-    or two products at that rep, checked by added_hat."""
-    return added_hat(ball.gp, ball.graph, edge.bottom, edge.top)
+    """The hat letter an edge adds, standardized at the bottom's rep, read
+    off the ball's edge -> hat map."""
+    return ball.edge_hat(edge)
 
 
 def trailing_power(gp, g, base):

@@ -155,6 +155,19 @@ def test_up_hats_match_clique_at(ball):
             assert {hat} == clique_at(ball.gp, w.elements, v.rep) - v.clique
 
 
+def test_edge_hats_are_formed_once(monkeypatch):
+    # check_special labels every edge and vertex_link every up-cover; both
+    # read one edge -> hat map, so added_hat runs once per edge
+    calls = []
+    real = cubes.added_hat
+    monkeypatch.setattr(cubes, "added_hat", lambda *args: calls.append(args) or real(*args))
+    ball = build_ball(parse_graph(TRIANGLE_TEXT), 3)
+    check_special(ball)
+    for v in ball.interior_vertices:
+        vertex_link(ball, v)
+    assert len(calls) == len(ball.edges)
+
+
 def test_interval_of_the_wrong_dimension_raises(ball):
     for cube in ball.cubes:
         with pytest.raises(SoundnessError):

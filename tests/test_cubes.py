@@ -286,6 +286,15 @@ class TestCubeBall:
         b = balls[name]
         assert (len(b.vertices), len(b.edges), len(b.squares)) == counts
 
+    def test_hashes_are_distinct(self):
+        # CPython hashes -1 like -2: hashing the raw letters made a^-1 and
+        # a^-2 collide, and their hashes cancel in that of the vertex
+        # {a^-1, a^-2}; on this ball 313 elements had 234 hashes
+        ball = build_ball(parse_graph("a:inf\nb:inf\nc:inf\nedge a b\nedge b c\n"), 4)
+        elements = ball.gp.enumerate_ball(4)
+        assert len({hash(g) for g in elements}) == len(elements) == 313
+        assert len({hash(v) for v in ball.vertices}) == len(ball.vertices) == 913
+
     def test_real_line_is_a_path(self, balls):
         b = balls["single_inf"]
         degree = {}

@@ -1,8 +1,9 @@
 import itertools
+import textwrap
 
 import pytest
 
-from gpcubes.cubes import cliques, coset_elements, hat_graph
+from gpcubes.cubes import SoundnessError, cliques, coset_elements, hat_graph
 from gpcubes.dj import (
     DJPair,
     _saturate,
@@ -12,6 +13,8 @@ from gpcubes.dj import (
     iso_check,
 )
 from gpcubes.groups import hat_base, parse_graph
+
+from conftest import fresh_python
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,28 @@ def unpruned_y_ball(pair, radius):
             if all(pair.factorize(x)[0].length <= radius for x in members):
                 out.add(members)
     return out
+
+
+def factorize_by_products(pair, g, doubled=False):
+    """The factorisations as first written, kept as the reference: one
+    product per letter of the original (or doubled) group part."""
+    gp = pair.gp_doubled if doubled else pair.gp
+    a = gp.identity
+    e = frozenset()
+    for x, k in g.letters:
+        if x in pair.graph.orders:
+            a = gp.multiply(a, gp.generator(x, k))
+        elif x.endswith("+"):
+            s = x[:-1]
+            for _ in range(k % 2):
+                if doubled:
+                    a = gp.multiply(a, gp.generator(s + ("-" if s in e else "+")))
+                else:
+                    a = gp.multiply(a, gp.generator(s, -1 if s in e else 1))
+                    e = e ^ {s}
+        elif k % 2:
+            e = e ^ {x[:-1]}
+    return a, e
 
 
 class TestAmbientGraph:
@@ -199,6 +224,47 @@ class TestFactorization:
             for e, ehat in p.e_elements().items():
                 g = p.gp_ambient.multiply(p.alpha(a), ehat)
                 assert p.factorize_doubled(g) == (a, e)
+
+    def test_match_one_product_per_letter(self, pairs):
+        for name in ("single_inf", "single_z3", "free2", "z_squared", "mixed"):
+            p = pairs[name]
+            for g in p.gp_ambient.enumerate_ball(3):
+                assert p.factorize(g) == factorize_by_products(p, g)
+                assert p.factorize_doubled(g) == factorize_by_products(p, g, doubled=True)
+
+    def test_residual_checks_raise(self, pairs, monkeypatch):
+        # an embedding that returns a wrong element must fail the check
+        p = pairs["mixed"]
+        g = p.beta(p.gp.generator("a"))
+        monkeypatch.setattr(p, "beta", lambda a: p.gp_ambient.identity)
+        monkeypatch.setattr(p, "alpha", lambda a: p.gp_ambient.identity)
+        with pytest.raises(SoundnessError):
+            p.factorize(g)
+        with pytest.raises(SoundnessError):
+            p.factorize_doubled(g)
+
+    def test_residual_checks_raise_under_python_O(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from gpcubes.cubes import SoundnessError
+            from gpcubes.dj import DJPair
+            from gpcubes.groups import parse_graph
+            if sys.flags.optimize != 1:
+                sys.exit(3)
+            p = DJPair(parse_graph("a:inf\\nu:3\\nedge a u\\n"))
+            g = p.beta(p.gp.generator("a"))
+            p.beta = p.alpha = lambda a: p.gp_ambient.identity
+            for factorize in (p.factorize, p.factorize_doubled):
+                try:
+                    factorize(g)
+                except SoundnessError:
+                    continue
+                sys.exit(1)
+            """
+        )
+        proc = fresh_python(code, "-O")
+        assert proc.returncode == 0, proc.stderr
 
     def test_factor_lengths_agree(self, pairs):
         # the two factorizations of one element have parts of equal length

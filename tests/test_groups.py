@@ -1,10 +1,12 @@
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcubes.groups import (
+    DEFAULT_ELEMENT_BUDGET,
     BudgetExceededError,
     GraphParseError,
     GraphProduct,
@@ -53,6 +55,25 @@ def greedy_shuffle(gp, letters):
                     best = i
         out.append(pending.pop(best))
     return tuple(out)
+
+
+def bfs_ball(gp, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
+    """The breadth-first search that enumerate_ball replaced, kept as the
+    reference: one product per element and generator move, with the same
+    budget."""
+    moves = [gp.generator(s, e) for s in gp.graph.vertices for e in (1, -1)]
+    seen = {gp.identity}
+    queue = deque(seen)
+    while queue:
+        g = queue.popleft()
+        for m in moves:
+            h = gp.multiply(g, m)
+            if h.length <= radius and h not in seen:
+                seen.add(h)
+                if len(seen) > max_elements:
+                    raise BudgetExceededError("ball exceeds %d elements" % max_elements)
+                queue.append(h)
+    return frozenset(seen)
 
 
 @st.composite
@@ -362,6 +383,50 @@ class TestEnumerateBall:
     def test_budget(self, products):
         with pytest.raises(BudgetExceededError):
             products["free2"].enumerate_ball(4, max_elements=10)
+
+
+def check_ball(gp, radius, budget):
+    """enumerate_ball against the BFS: the same set, or both over budget;
+    each element its own normal form with its own length; a budget of
+    the ball's size met, and one less overrun."""
+    try:
+        expected = bfs_ball(gp, radius, max_elements=budget)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            gp.enumerate_ball(radius, max_elements=budget)
+        return
+    ball = gp.enumerate_ball(radius, max_elements=budget)
+    assert ball == expected
+    for g in ball:
+        nf = gp.normalize(g.letters)
+        assert (nf.letters, nf.length) == (g.letters, g.length)
+    assert gp.enumerate_ball(radius, max_elements=len(ball)) == ball
+    if len(ball) > 1:  # as in the BFS, the identity alone never overruns
+        with pytest.raises(BudgetExceededError):
+            gp.enumerate_ball(radius, max_elements=len(ball) - 1)
+
+
+class TestEnumerateBallDifferential:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+    def test_fixtures_match_the_bfs(self, products, radius):
+        for gp in products.values():
+            check_ball(gp, radius, 2000)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs_match_the_bfs(self, data):
+        gp = GraphProduct(data.draw(labelled_graphs()))
+        check_ball(gp, data.draw(st.integers(0, 4)), 600)
+
+    def test_forms_no_products(self, products, monkeypatch):
+        gp = products["mixed"]
+
+        def forbidden(*args):
+            pytest.fail("enumerate_ball formed a product")
+
+        monkeypatch.setattr(gp, "multiply", forbidden)
+        monkeypatch.setattr(gp, "normalize", forbidden)
+        assert len(gp.enumerate_ball(3)) == 17  # Z x Z/3: 7 powers of a, times 3
 
 
 class TestOracle:
