@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 
-from .cubes import SoundnessError, build_ball, cliques, coset_elements, hat_graph
+from .cubes import SoundnessError, build_ball, cliques, hat_graph
 from .groups import (
     DEFAULT_ELEMENT_BUDGET,
+    BudgetExceededError,
     GraphProduct,
     LabeledGraph,
     hat_base,
@@ -185,17 +186,66 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     """Vertices of the common complex: sets g * <<C>> * E in the ambient
     group whose members all have original-group part of length <= radius.
 
-    Every member of such a set has ambient length at most
-    2*radius + #infinite generators, so scanning the ambient ball of that
-    radius finds each vertex at least once.  A set contains its rep g, so
-    reps whose own original-group part is longer than radius are skipped
-    before any set is formed.  Each element is factorised, and its E-orbit
-    formed, once per call.
+    Call an ambient element short if the a of its factorisation beta(a) * e
+    has length <= radius.  A search from the identity moves by every
+    non-identity element of each ambient hat subset (u, u^2, s+, s0) and
+    keeps what it reaches only if it is short.  It reaches every short
+    element x = beta(a) * e: walk the ambient letters of the word beta
+    writes for the normal form a (s -> s+ s0, s^-1 -> s0 s+, finite letters
+    as they are), then the s0 letters of e.  A prefix ending inside beta(a)
+    is beta(a'), beta(a') * s0 or beta(a') * s+ = beta(a' s) * s0 with a'
+    (and a' s) a prefix of the normal form a, so its part is no longer than
+    a; a prefix beyond it has part a.  Every prefix is short, so the search
+    follows the walk.  max_elements bounds the short elements reached.
+
+    One factorisation serves a whole E-orbit: x = beta(a) * e_x gives
+    x * e = beta(a) * (e_x ^ e), since E is abelian, so the members of the
+    orbit, formed once, share the part a.  A candidate set g<<C>>E, for g
+    reached and C a clique, is kept iff every element of the coset g<<C>>
+    is short; the coset is read off the search's moves (<<C>> is a group of
+    commuting hat subsets) and saturated with the cached orbits.
     """
-    graph = pair.graph
     gp2 = pair.gp_ambient
-    reach = 2 * radius + len(graph.infinite_vertices)
-    big = gp2.enumerate_ball(reach, max_elements=max_elements)
+    es = pair._e_elements.items()
+    moves = []  # (hat, product) for every non-identity element of a hat subset
+    for hat in gp2.hat_generators:
+        moves.extend((hat, h) for h in gp2.hat_subset(hat)[1:])
+    part = {}  # element -> length of its original-group part
+    orbit = {}  # element -> its E-orbit
+
+    def factor(x):
+        a, _ = pair.factorize(x)
+        members = frozenset(x if not e else gp2.multiply(x, ehat) for e, ehat in es)
+        for y in members:
+            part[y] = a.length
+            orbit[y] = members
+
+    # reached[i] is short; right[i][k] is reached[i] * moves[k], or None if
+    # that product is not short
+    factor(gp2.identity)
+    reached = [gp2.identity]
+    index = {gp2.identity: 0}
+    right = []
+    while len(right) < len(reached):
+        x = reached[len(right)]
+        row = []
+        for _, h in moves:
+            y = gp2.multiply(x, h)
+            if y not in part:
+                factor(y)
+            if part[y] > radius:
+                y = None
+            elif y not in index:
+                index[y] = len(reached)
+                reached.append(y)
+                if len(reached) > max_elements:
+                    raise BudgetExceededError(
+                        "common complex of radius %d exceeds %d elements"
+                        % (radius, max_elements)
+                    )
+            row.append(y)
+        right.append(row)
+
     # one clique of the doubled graph per sign pattern is enough: the E
     # factor washes the signs out
     plus_cliques = [
@@ -203,29 +253,59 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         for c in cliques(pair.doubled)
         if not any(hat.endswith("-") for hat in c)
     ]
-    lengths = {}
-    orbits = {}
-    es = pair._e_elements.values()
-
-    def short(x):
-        if x not in lengths:
-            lengths[x] = pair.factorize(x)[0].length
-        return lengths[x] <= radius
-
-    def orbit(x):
-        if x not in orbits:
-            orbits[x] = frozenset(gp2.multiply(x, e) for e in es)
-        return orbits[x]
-
     out = set()
-    for g in sorted(big, key=gp2.sort_key):
-        if not short(g):
-            continue
-        for c in plus_cliques:
-            members = frozenset().union(*map(orbit, coset_elements(gp2, g, c)))
-            if members not in out and all(map(short, members)):
-                out.add(members)
+    for c in plus_cliques:
+        # the columns of right that hold the moves of each hat of C
+        columns = [[k for k, (hat, _) in enumerate(moves) if hat == h] for h in c]
+        done = set()  # elements of a coset of <<C>> already formed
+        for g in reached:
+            if g in done:
+                continue
+            coset = [g]
+            for ks in columns:
+                coset += [right[index[x]][k] for x in coset for k in ks]
+                if None in coset:
+                    break
+            else:
+                out.add(frozenset().union(*(orbit[x] for x in coset)))
+            done.update(coset)
     return out
+
+
+def _images(pair, vertices, embed):
+    """v -> embed(v) * E for each vertex, with embed(x) * E formed once per
+    element x rather than once per vertex holding x."""
+    saturated = {}
+    for v in vertices:
+        for x in v.elements:
+            if x not in saturated:
+                saturated[x] = _saturate(pair, (embed(x),))
+    return {v: frozenset().union(*(saturated[x] for x in v.elements)) for v in vertices}
+
+
+def order_preserved(vertices, image):
+    """True iff u <= v exactly when image[u] <= image[v], over all pairs of
+    vertices (element sets ordered by inclusion).
+
+    For each u both sides are read among few candidates: every v above u
+    holds u.rep, and every v whose image lies above image[u] holds any one
+    fixed element of image[u].  So the two up-sets of u are compared whole,
+    in O(V * k) set tests for k the most vertices holding one element.
+    """
+    holders = {}
+    image_holders = {}
+    for v in vertices:
+        for x in v.elements:
+            holders.setdefault(x, []).append(v)
+        for z in image[v]:
+            image_holders.setdefault(z, []).append(v)
+    for u in vertices:
+        up = {v for v in holders[u.rep] if u.elements <= v.elements}
+        fu = image[u]
+        up_image = {v for v in image_holders[next(iter(fu))] if fu <= image[v]}
+        if up != up_image:
+            return False
+    return True
 
 
 def iso_check(graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
@@ -237,14 +317,8 @@ def iso_check(graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     ball_doubled = build_ball(pair.doubled, radius, max_elements=max_elements)
     y = build_y_ball(pair, radius, max_elements=max_elements)
 
-    image = {
-        v: _saturate(pair, {pair.beta(x) for x in v.elements})
-        for v in ball.vertices
-    }
-    image_doubled = {
-        v: _saturate(pair, {pair.alpha(x) for x in v.elements})
-        for v in ball_doubled.vertices
-    }
+    image = _images(pair, ball.vertices, pair.beta)
+    image_doubled = _images(pair, ball_doubled.vertices, pair.alpha)
     report = {
         "vertices": len(ball.vertices),
         "vertices_doubled": len(ball_doubled.vertices),
@@ -257,16 +331,10 @@ def iso_check(graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         "edges": len(ball.edges),
         "edges_doubled": len(ball_doubled.edges),
     }
-    order_ok = True
-    for u, v in itertools.combinations(ball.vertices, 2):
-        for a, b in ((u, v), (v, u)):
-            if (a.elements <= b.elements) != (image[a] <= image[b]):
-                order_ok = False
-    for u, v in itertools.combinations(ball_doubled.vertices, 2):
-        for a, b in ((u, v), (v, u)):
-            if (a.elements <= b.elements) != (image_doubled[a] <= image_doubled[b]):
-                order_ok = False
-    report["order_preserved"] = order_ok
+    report["order_preserved"] = (
+        order_preserved(ball.vertices, image)
+        and order_preserved(ball_doubled.vertices, image_doubled)
+    )
     report["ok"] = (
         report["injective"]
         and report["injective_doubled"]

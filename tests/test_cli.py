@@ -211,6 +211,13 @@ class TestDjGraphs:
         assert data["isomorphism"]["ok"]
         assert data["isomorphism"]["vertices_common"] == 9
 
+    def test_common_complex_budget_exits_three(self, graph_file):
+        # at r = 2 both balls of a:inf u:3 hold 11 elements, and the common
+        # complex reaches 22 short ambient ones
+        argv = ["dj-graphs", "--graph", graph_file("mixed"), "--radius", "2"]
+        assert main(argv + ["--budget-elements", "21"]) == 3
+        assert main(argv + ["--budget-elements", "22"]) == 0
+
 
 def test_import_leaves_out_networkx():
     proc = fresh_python(

@@ -1,18 +1,21 @@
 import itertools
+import random
 import textwrap
 
 import pytest
 
-from gpcubes.cubes import SoundnessError, cliques, coset_elements, hat_graph
+from gpcubes.cubes import SoundnessError, build_ball, cliques, coset_elements, hat_graph
 from gpcubes.dj import (
     DJPair,
+    _images,
     _saturate,
     ambient_graph,
     build_y_ball,
     doubled_graph,
     iso_check,
+    order_preserved,
 )
-from gpcubes.groups import hat_base, parse_graph
+from gpcubes.groups import BudgetExceededError, GraphProduct, hat_base, parse_graph
 
 from conftest import fresh_python
 
@@ -58,9 +61,9 @@ def conj_by_e_doubled(pair, e, g):
 
 
 def unpruned_y_ball(pair, radius):
-    """The common-complex scan without the rep prefilter or the length
-    memo, kept as the reference: every ambient ball element with every
-    clique, each member factorised afresh."""
+    """The common-complex scan over the whole ambient ball of radius
+    2r + #inf, kept as the reference: every ball element with every clique,
+    each member factorised afresh."""
     gp2 = pair.gp_ambient
     big = gp2.enumerate_ball(2 * radius + len(pair.graph.infinite_vertices))
     plus_cliques = [
@@ -75,6 +78,36 @@ def unpruned_y_ball(pair, radius):
             if all(pair.factorize(x)[0].length <= radius for x in members):
                 out.add(members)
     return out
+
+
+def pairwise_order_preserved(vertices, image):
+    """The order check as first written, kept as the reference: inclusion
+    against image inclusion over every ordered pair of vertices."""
+    for u, v in itertools.combinations(vertices, 2):
+        for a, b in ((u, v), (v, u)):
+            if (a.elements <= b.elements) != (image[a] <= image[b]):
+                return False
+    return True
+
+
+def random_graph_texts(seed, count):
+    """Graphs on at most three generators of orders 2, 3 and inf, each edge
+    present with probability 1/2, drawn from a fixed seed."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        names = "abc"[: rng.randint(1, 3)]
+        lines = ["%s:%s" % (s, rng.choice(("2", "3", "inf"))) for s in names]
+        lines += [
+            "edge %s %s" % (s, t)
+            for s, t in itertools.combinations(names, 2)
+            if rng.random() < 0.5
+        ]
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
+RANDOM_GRAPH_TEXTS = random_graph_texts(0, 12)
 
 
 def factorize_by_products(pair, g, doubled=False):
@@ -344,6 +377,113 @@ class TestIsoCheck:
         for name, p in pairs.items():
             assert build_y_ball(p, radius) == unpruned_y_ball(p, radius), name
 
+    @pytest.mark.parametrize("radius", [1, 2])
+    @pytest.mark.parametrize(
+        "text", RANDOM_GRAPH_TEXTS, ids=lambda t: t.strip().replace("\n", " | ")
+    )
+    def test_y_ball_matches_the_unpruned_scan_on_random_graphs(self, text, radius):
+        p = DJPair(parse_graph(text))
+        assert build_y_ball(p, radius) == unpruned_y_ball(p, radius)
+
     def test_y_ball_matches_vertex_count(self, graphs):
         p = DJPair(graphs["single_inf"])
         assert len(build_y_ball(p, 2)) == 9
+
+    def test_images_match_one_saturation_per_vertex(self, pairs):
+        for name in ("single_inf", "z_squared", "mixed"):
+            p = pairs[name]
+            ball = build_ball(p.graph, 2)
+            expected = {
+                v: _saturate(p, {p.beta(x) for x in v.elements}) for v in ball.vertices
+            }
+            assert _images(p, ball.vertices, p.beta) == expected, name
+            ball = build_ball(p.doubled, 2)
+            expected = {
+                v: _saturate(p, {p.alpha(x) for x in v.elements}) for v in ball.vertices
+            }
+            assert _images(p, ball.vertices, p.alpha) == expected, name
+
+
+class TestCommonComplexSearch:
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_reaches_every_short_element(self, pairs, radius):
+        # the search's connectivity: the vertex sets cover exactly the
+        # elements beta(a) * e with |a| <= radius
+        for name, p in pairs.items():
+            short = {
+                p.gp_ambient.multiply(p.beta(a), ehat)
+                for a in p.gp.enumerate_ball(radius)
+                for ehat in p.e_elements().values()
+            }
+            assert set().union(*build_y_ball(p, radius)) == short, name
+
+    def test_factorisation_follows_the_e_orbit(self, pairs):
+        # x = beta(a) * e_x gives x * e = beta(a) * (e_x ^ e)
+        for name, p in pairs.items():
+            for x in set().union(*build_y_ball(p, 2)):
+                a, ex = p.factorize(x)
+                for e, ehat in p.e_elements().items():
+                    assert p.factorize(p.gp_ambient.multiply(x, ehat)) == (a, ex ^ e), name
+
+    def test_budget_bounds_the_reached_elements(self, pairs):
+        p = pairs["mixed"]
+        reached = len(set().union(*build_y_ball(p, 2)))
+        assert build_y_ball(p, 2, max_elements=reached) == build_y_ball(p, 2)
+        with pytest.raises(BudgetExceededError):
+            build_y_ball(p, 2, max_elements=reached - 1)
+        with pytest.raises(BudgetExceededError):
+            build_y_ball(p, 2, max_elements=3)
+
+    def test_no_ambient_ball_is_enumerated(self, pairs, monkeypatch):
+        def refuse(self, radius, max_elements=None):
+            raise AssertionError("enumerate_ball called")
+
+        expected = build_y_ball(pairs["mixed"], 2)
+        monkeypatch.setattr(GraphProduct, "enumerate_ball", refuse)
+        assert build_y_ball(pairs["mixed"], 2) == expected
+
+    def test_factorize_calls_do_not_follow_the_hash_seed(self, monkeypatch):
+        code = textwrap.dedent(
+            """
+            from gpcubes.dj import DJPair, build_y_ball
+            from gpcubes.groups import parse_graph
+            calls = []
+            factorize = DJPair.factorize
+            DJPair.factorize = lambda self, g: calls.append(g) or factorize(self, g)
+            pair = DJPair(parse_graph("a:inf\\nu:3\\nb:inf\\nedge a u\\n"))
+            build_y_ball(pair, 2)
+            print(len(calls))
+            """
+        )
+        counts = []
+        for seed in ("1", "7"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            proc = fresh_python(code)
+            assert proc.returncode == 0, proc.stderr
+            counts.append(int(proc.stdout))
+        assert counts[0] == counts[1] > 0
+
+
+class TestOrderPreserved:
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_agrees_with_the_pairwise_scan(self, pairs, doubled):
+        for name, p in pairs.items():
+            ball = build_ball(p.doubled if doubled else p.graph, 2)
+            image = _images(p, ball.vertices, p.alpha if doubled else p.beta)
+            assert order_preserved(ball.vertices, image), name
+            assert pairwise_order_preserved(ball.vertices, image), name
+
+    def test_both_reject_swapped_images(self, pairs):
+        p = pairs["mixed"]
+        ball = build_ball(p.graph, 2)
+        image = _images(p, ball.vertices, p.beta)
+        swaps = 0
+        for u, v in itertools.combinations(ball.vertices, 2):
+            swapped = dict(image)
+            swapped[u], swapped[v] = image[v], image[u]
+            indexed = order_preserved(ball.vertices, swapped)
+            assert indexed == pairwise_order_preserved(ball.vertices, swapped)
+            swaps += not indexed
+        # a swap keeps the order only between two vertices with the same
+        # up-set and down-set, and no two vertices of this ball share both
+        assert swaps == len(ball.vertices) * (len(ball.vertices) - 1) // 2

@@ -1,7 +1,7 @@
 """Golden certificates: every `check` certificate on the fixtures at
 r = 1, 2, 3 and on the path a-b-c at r = 3, 4, and every `dj-graphs --radius`
 certificate on the fixtures with an infinite generator at r = 1, 2 and on
-a:inf u:3 b:inf at r = 2, must stay byte-identical.
+a:inf u:3 b:inf at r = 2, 3, must stay byte-identical.
 
 The `check` digests were recorded from the per-height Morse sweep and the
 per-call edge dictionaries that the single-sweep certificate layer replaced;
@@ -10,8 +10,11 @@ model-built cube vertices, the |S|^2 stabilizer and the per-hat-letter edge
 read-off that the ball's inclusion index replaced.
 The `dj-graphs` digests were recorded from the unpruned common-complex scan
 (every ambient ball element E-saturated with every clique) and the
-all-prefix greedy shuffle.  Each is the SHA-256 of the certificate without
-its `version` field, serialized as the command prints it.
+all-prefix greedy shuffle; the a:inf u:3 b:inf r = 3 digest from the scan
+of the radius-(2r + #inf) ambient ball with the short-rep prefilter, before
+the common complex was reached by a restricted search.  Each is the SHA-256
+of the certificate without its `version` field, serialized as the command
+prints it.
 """
 
 import hashlib
@@ -66,6 +69,7 @@ DJ_GOLDEN = {
     ("mixed", 1): "bf05c3f959ed50618f24268caa05a989047fe51b9b4ea00383abac5cc5d277a4",
     ("mixed", 2): "a343d3c695a1e16d6e38e9c02edec1a598a1522035eff54ea21e4c03ccb7711a",
     ("mixed3", 2): "2ce329bff1c7f25340fe6f9f7a7ef55015575d235d2bbfaa5e1e8f4b84d2279a",
+    ("mixed3", 3): "c444120c18a1de2d04ce86367da09a40a825cfd5f4c11c62e768bc5410d39a54",
 }
 
 
