@@ -24,7 +24,6 @@ from .groups import (
     GraphProduct,
     LabeledGraph,
     hat_base,
-    hat_name,
     hat_names,
 )
 
@@ -98,33 +97,24 @@ def std_subset(gp, clique):
     return coset_elements(gp, gp.identity, clique)
 
 
-def clique_at(gp, elements, at):
-    """The clique C with elements = at<<C>>, read off at a member `at`: the
-    hat letters h with at*h in the coset."""
-    return frozenset(
-        hat for hat, h in gp.hat_generators.items() if gp.multiply(at, h) in elements
-    )
-
-
-def added_hat(gp, graph, bottom, top):
+def added_hat(ball, bottom, top):
     """The hat letter h with top = bottom.rep<<bottom.clique + h>>, for a
     cover bottom < top.
 
     Only the hat letters of the one base generator that top adds are tried
-    at bottom.rep; a SoundnessError unless exactly one of them lands in top
-    and |top| = |bottom| * |<<h>>|."""
+    at bottom.rep, each read through the ball's right table; a
+    SoundnessError unless exactly one of them lands in top and
+    |top| = |bottom| * |<<h>>|."""
+    graph = ball.graph
     bases = {hat_base(graph, hat)[0] for hat in top.clique}
     bases -= {hat_base(graph, hat)[0] for hat in bottom.clique}
     if len(bases) != 1:
         raise SoundnessError("cover %r of %r adds bases %r" % (top, bottom, sorted(bases)))
     (base,) = bases
-    landed = [
-        hat
-        for hat in dict.fromkeys(hat_name(graph, base, sign) for sign in (1, -1))
-        if gp.multiply(bottom.rep, gp.hat_generators[hat]) in top.elements
-    ]
+    x, mask = ball._ids[bottom.rep], ball._masks[top]
+    landed = [hat for hat in ball.gp.base_hats[base] if ball._lands(x, hat, mask)]
     if len(landed) != 1 or len(top.elements) != len(bottom.elements) * len(
-        gp.hat_subset(landed[0])
+        ball.gp.hat_subset(landed[0])
     ):
         raise SoundnessError("cover %r of %r adds hats %r" % (top, bottom, landed))
     return landed[0]
@@ -140,12 +130,13 @@ class CosetVertex:
     recovered from rep^-1 * elements, which makes both canonical.
     """
 
-    __slots__ = ("rep", "clique", "elements", "_hash")
+    __slots__ = ("rep", "clique", "elements", "max_length", "_hash")
 
     def __init__(self, rep, clique, elements):
         self.rep = rep
         self.clique = clique
         self.elements = elements
+        self.max_length = max(x.length for x in elements)
         self._hash = hash(elements)
 
     def __eq__(self, other):
@@ -154,24 +145,33 @@ class CosetVertex:
     def __hash__(self):
         return self._hash
 
-    @property
-    def max_length(self):
-        return max(x.length for x in self.elements)
-
     def __repr__(self):
         return "CosetVertex(%s|{%s})" % (self.rep, ",".join(sorted(self.clique)))
 
 
 def coset_vertex(gp, g, clique):
-    """Canonicalized vertex g<<C>>; invariant under g -> g*h, h in <<C>>."""
+    """Canonicalized vertex g<<C>>; invariant under g -> g*h, h in <<C>>.
+
+    The clique at rep is read as added_hat reads a hat: only the hat
+    letters of each base of C are tried at rep, and a SoundnessError is
+    raised unless exactly one of them lands in the coset."""
     elements = coset_elements(gp, g, clique)
     rep = min(elements, key=gp.sort_key)
-    canonical = clique_at(gp, elements, rep)
-    if len(canonical) != len(clique):
-        raise SoundnessError(
-            "coset %s<<%s>> reads off clique %s" % (g, sorted(clique), sorted(canonical))
-        )
-    return CosetVertex(rep, canonical, elements)
+    graph = gp.graph
+    canonical = []
+    for base in {hat_base(graph, hat)[0] for hat in clique}:
+        landed = [
+            hat
+            for hat in gp.base_hats[base]
+            if gp.multiply(rep, gp.hat_generators[hat]) in elements
+        ]
+        if len(landed) != 1:
+            raise SoundnessError(
+                "coset %s<<%s>> lands hats %r of %s at its rep"
+                % (g, ",".join(sorted(clique)), landed, base)
+            )
+        canonical += landed
+    return CosetVertex(rep, frozenset(canonical), elements)
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,11 @@ class SimplicialComplex:
         return frozenset(f) in self.faces
 
     def join(self, other):
-        return SimplicialComplex(
-            self.vertices + other.vertices,
-            [a | b for a in self.faces for b in other.faces],
-        )
+        """The join: each face of self with each of other.  Both families
+        hold the empty face and are closed, so their product is closed."""
+        out = SimplicialComplex(self.vertices + other.vertices, ())
+        out.faces = frozenset(a | b for a in self.faces for b in other.faces)
+        return out
 
     def __eq__(self, other):
         return (
@@ -234,8 +235,21 @@ class CubeBall:
     cube's interval, searched for once by inclusion through an element ->
     vertices index, and from it vertex -> the cubes holding it.
     cube_vertices and cubes_containing return it as it stands; the covers
-    of v are the other ends of the edges at v.  These indexes are built on
-    first use, as only the checks need them."""
+    of v are the other ends of the edges at v.
+
+    The checks read the ball through an index of ints instead of forming
+    products of normal forms:
+    * an id per element, in (length, lex) order, so that no id depends on
+      the hash seed and a coset's rep has the least id of its members;
+    * a right table: id -> the ids of x*h for every non-identity hat power
+      h, -1 where x*h leaves the ball, each entry one gp.multiply;
+    * each vertex's element ids as a bitmask.
+    Interval inclusion is a mask test; edge_hat (added_hat), the Morse
+    up-link check (descent_hats, coface) and stabilizer read the table.
+    fundamental_domain_check still forms products: it is the independent
+    check that every vertex is a translate of a base vertex, and must not
+    rest on the table it would vouch for.  The index and the incidence are
+    built on first use, as only the checks need them."""
 
     def __init__(self, graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         self.graph = graph
@@ -336,8 +350,33 @@ class CubeBall:
         """The hat letter an edge adds, standardized at the bottom's rep:
         added_hat, formed once per edge and kept."""
         if edge not in self._edge_hats:
-            self._edge_hats[edge] = added_hat(self.gp, self.graph, edge.bottom, edge.top)
+            self._edge_hats[edge] = added_hat(self, edge.bottom, edge.top)
         return self._edge_hats[edge]
+
+    def descent_hats(self, v):
+        """The hat letters h whose coset v.rep<<h>> does not rise above
+        v.rep: GraphProduct.desc_letters of v.rep, read through the right
+        table.  A product that leaves the ball is longer than v.rep."""
+        right, elements = self._right[self._ids[v.rep]], self._elements
+        n = v.rep.length
+        return frozenset(
+            hat
+            for hat, cols in self._columns.items()
+            if all(right[k] >= 0 and elements[right[k]].length <= n for k in cols)
+        )
+
+    def coface(self, v, clique):
+        """The vertex v.rep<<C>>, read through the right table and found
+        among the vertices holding v.rep; a SoundnessError unless it is a
+        vertex of the ball."""
+        x = self._ids[v.rep]
+        mask, masks = self._coset_mask(x, clique), self._masks
+        for w in self._holding[x]:
+            if masks[w] == mask:
+                return w
+        raise SoundnessError(
+            "%s<<%s>> is not a vertex of the ball" % (v.rep, ",".join(sorted(clique)))
+        )
 
     def cube_vertices(self, cube):
         """The 2^dim vertices of an interval cube, bottom first.
@@ -352,14 +391,81 @@ class CubeBall:
             return list(self._intervals[cube])
         return self._interval(cube)
 
+    # -- the index -------------------------------------------------------------
+
     @functools.cached_property
-    def _holding(self):
-        """Element -> the vertices whose coset holds it."""
+    def _elements(self):
+        """Id -> element: the ball in (length, lex) order."""
+        return sorted(self._element_set, key=self.gp.sort_key)
+
+    @functools.cached_property
+    def _ids(self):
+        """Element -> id."""
+        return {x: i for i, x in enumerate(self._elements)}
+
+    @functools.cached_property
+    def _columns(self):
+        """Hat letter -> its columns of the right table: one per
+        non-identity power, in hat_subset order."""
+        out, k = {}, 0
+        for hat in self.delta.vertices:
+            n = len(self.gp.hat_subset(hat)) - 1
+            out[hat] = range(k, k + n)
+            k += n
+        return out
+
+    @functools.cached_property
+    def _right(self):
+        """Id of x -> the ids of x*h for the non-identity hat powers h, by
+        _columns, with -1 where x*h leaves the ball."""
+        gp, ids = self.gp, self._ids
+        powers = [h for hat in self.delta.vertices for h in gp.hat_subset(hat)[1:]]
+        return [[ids.get(gp.multiply(x, h), -1) for h in powers] for x in self._elements]
+
+    @functools.cached_property
+    def _masks(self):
+        """Vertex -> the bitmask of its element ids."""
+        ids = self._ids
         out = {}
         for v in self.vertices:
+            mask = 0
             for x in v.elements:
-                out.setdefault(x, []).append(v)
+                mask |= 1 << ids[x]
+            out[v] = mask
         return out
+
+    @functools.cached_property
+    def _holding(self):
+        """Element id -> the vertices whose coset holds it."""
+        out = [[] for _ in self._elements]
+        ids = self._ids
+        for v in self.vertices:
+            for x in v.elements:
+                out[ids[x]].append(v)
+        return out
+
+    def _lands(self, x, hat, mask):
+        """Whether x*h, for the element id x and the generator h of a hat
+        letter, is in the ball and in the coset of the given mask."""
+        y = self._right[x][self._columns[hat][0]]
+        return y >= 0 and mask >> y & 1 == 1
+
+    def _coset_mask(self, x, clique):
+        """The mask of x<<C>> for the element id x, read through the right
+        table; 0 when the coset leaves the ball."""
+        right, columns = self._right, self._columns
+        members = [x]
+        for hat in clique:
+            step = [right[y][k] for y in members for k in columns[hat]]
+            if -1 in step:
+                return 0
+            members += step
+        mask = 0
+        for y in members:
+            mask |= 1 << y
+        return mask
+
+    # -- the incidence ----------------------------------------------------------
 
     @functools.cached_property
     def _base_index(self):
@@ -382,16 +488,19 @@ class CubeBall:
         return out
 
     def _interval(self, cube):
-        """The vertices w with bottom <= w <= top, found by inclusion among
-        those holding bottom.rep; a SoundnessError unless they are 2^dim,
-        one per set of added bases."""
+        """The vertices w with bottom <= w <= top, found by mask inclusion
+        among those holding bottom.rep; a SoundnessError unless they are
+        2^dim, one per set of added bases."""
         bottom, top = cube.bottom, cube.top
-        base_index = self._base_index
+        base_index, masks = self._base_index, self._masks
         below = {base_index[h] for h in bottom.clique}
+        low, high = masks[bottom], masks[top]
         keyed = {}
         found = 0
-        for w in self._holding[bottom.rep]:
-            if bottom.elements <= w.elements <= top.elements:
+        # the rep is the least member of its coset, so it has the lowest id
+        for w in self._holding[(low & -low).bit_length() - 1]:
+            m = masks[w]
+            if low & m == low and m & high == m:
                 found += 1
                 keyed[tuple(sorted({base_index[h] for h in w.clique} - below))] = w
         if not found == len(keyed) == 2 ** cube.dim:
@@ -481,21 +590,23 @@ def check_link_models(ball, v, link=None):
     return ok
 
 
-def stabilizer(gp, v):
-    """Elements fixing the vertex, i.e. permuting its coset; always finite.
+def stabilizer(ball, v):
+    """Elements fixing a vertex of the ball, i.e. permuting its coset;
+    always finite.
 
-    h fixes v only if h*rep lies in the coset, so the candidates are
-    x*rep^-1 for x in it; each is kept only if it maps the whole coset into
-    itself (left multiplication is injective, so then onto it)."""
-    rep_inv = gp.invert(v.rep)
-    out = []
-    for x in v.elements:
-        h = gp.multiply(x, rep_inv)
-        if all(gp.multiply(h, y) in v.elements for y in v.elements):
-            out.append(h)
-    if gp.identity not in out:
+    h fixes v = rep<<C>> only if x = h*rep lies in v, and then h fixes v
+    iff x<<C>> = v.  So the stabilizer is {x*rep^-1 : x in v, x<<C>> = v},
+    each x<<C>> read through the ball's right table and compared as a mask;
+    a SoundnessError unless rep<<C>> is v.  The only products formed are
+    the quotients x*rep^-1 other than the identity, one normalize each."""
+    gp, ids, mask = ball.gp, ball._ids, ball._masks[v]
+    fixing = [x for x in v.elements if ball._coset_mask(ids[x], v.clique) == mask]
+    if v.rep not in fixing:
         raise SoundnessError("the identity does not fix %r" % (v,))
-    return frozenset(out)
+    inverse = tuple((s, -e) for s, e in reversed(v.rep.letters))
+    return frozenset(
+        gp.identity if x == v.rep else gp.normalize(x.letters + inverse) for x in fixing
+    )
 
 
 def fundamental_domain_check(ball):
@@ -507,12 +618,15 @@ def fundamental_domain_check(ball):
     differ only by sign flips on infinite letters.
     """
     gp = ball.gp
+    subsets = {}  # clique -> <<C>>, formed once per clique
     census = {}
     ok = True
     for v in ball.vertices:
+        if v.clique not in subsets:
+            subsets[v.clique] = std_subset(gp, v.clique)
         rep_inv = gp.invert(v.rep)
         standardized = frozenset(gp.multiply(rep_inv, x) for x in v.elements)
-        if standardized != std_subset(gp, v.clique):
+        if standardized != subsets[v.clique]:
             ok = False
         key = ",".join(sorted(v.clique, key=ball.delta.index.__getitem__))
         census[key] = census.get(key, 0) + 1

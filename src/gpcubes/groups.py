@@ -255,12 +255,6 @@ class NormalForm:
 # Hat alphabet: one vertex per finite-order generator, a pair of signed
 # vertices per infinite-order generator (s and s^-1 are never adjacent).
 
-def hat_name(graph, s, sign):
-    if graph.is_finite(s):
-        return s
-    return s + ("+" if sign > 0 else "-")
-
-
 def hat_names(graph):
     """The doubled alphabet, in deterministic order."""
     names = []
@@ -302,11 +296,15 @@ class GraphProduct:
             s: self._all_bits & ~sum(self._bits[t] for t in graph.neighbors(s))
             for s in graph.vertices
         }
-        # <<h>> for every hat letter h, and the generator h itself
+        # <<h>> for every hat letter h, and the generator h itself; and the
+        # hat letters of each generator, s itself when finite, s+ and s-
+        # when infinite
         self._hat_subsets = {}
         self.hat_generators = {}
+        self.base_hats = {}
         for hat in hat_names(graph):
             s, sign = hat_base(graph, hat)
+            self.base_hats[s] = self.base_hats.get(s, ()) + (hat,)
             c = graph.orders[s]
             powers = (sign,) if c is None else range(1, c)
             subset = (self._identity,) + tuple(self.generator(s, k) for k in powers)

@@ -11,7 +11,7 @@ certified by Euler characteristic 1.
 
 from __future__ import annotations
 
-from .cubes import SimplicialComplex, SoundnessError, coset_elements, vertex_link
+from .cubes import SimplicialComplex, SoundnessError, vertex_link
 
 
 class MorseViolationError(AssertionError):
@@ -41,8 +41,8 @@ def cube_max_vertex(ball, cube):
         raise MorseViolationError(
             "cube [%r, %r] has %d height-maximal vertices" % (cube.bottom, cube.top, len(ties))
         )
-    top_max = max(x.length for x in cube.top.elements)
-    if not any(x.length == top_max for x in best.elements):
+    # best lies in top, so it holds top's longest element iff it is as long
+    if best.max_length != cube.top.max_length:
         raise SoundnessError("height-maximal vertex %r misses the top's longest element" % best)
     return best
 
@@ -92,15 +92,15 @@ def check_down_link_simplex(ball, v):
 def check_up_link_subdivided_simplex(ball, v):
     """For a singleton vertex {g}, g != 1: the descending up-link must be
     the poset of nonempty subsets of desc_letters(g) (the barycentric
-    subdivision of a simplex), with desc_letters(g) a clique."""
-    gp = ball.gp
+    subdivision of a simplex), with desc_letters(g) a clique.  The descent
+    letters and the cofaces are read through the ball's right table."""
     if v.clique:
         raise ValueError("vertex has a nonempty clique; use the down-link check")
     if v.rep.is_identity:
         raise ValueError("the base point has an empty descending link")
     if not ball.is_interior(v):
         raise _not_interior(v)
-    desc = gp.desc_letters(v.rep)
+    desc = ball.descent_hats(v)
     for a in desc:
         for b in desc:
             if a != b and not ball.delta.adjacent(a, b):
@@ -112,7 +112,7 @@ def check_up_link_subdivided_simplex(ball, v):
     for c in ball.cliques:
         if not c:
             continue
-        w = ball.vertex(coset_elements(gp, v.rep, c))
+        w = ball.coface(v, c)
         if w.max_length == v.rep.length:
             descending.add(frozenset(c))
     expected = {frozenset(c) for c in ball.cliques if c and c <= desc}

@@ -231,7 +231,7 @@ def check_free_kernel_action(ball):
     failures = []
     checked = 0
     for v in ball.vertices:
-        for h in stabilizer(gp, v):
+        for h in stabilizer(ball, v):
             checked += 1
             if not h.is_identity and torsion_projection(gp, h) == zero:
                 failures.append("kernel element %s fixes %r" % (h, v))

@@ -38,6 +38,15 @@ def fresh_python(code, *flags):
     )
 
 
+def clique_at(gp, elements, at):
+    """The clique C with elements = at<<C>>, read off at a member `at`: the
+    hat letters h with at*h in the coset, every hat generator tried.  The
+    oracle for the per-base read of coset_vertex."""
+    return frozenset(
+        hat for hat, h in gp.hat_generators.items() if gp.multiply(at, h) in elements
+    )
+
+
 def maximal_faces(complex_):
     """The faces of a SimplicialComplex that lie in no other face."""
     return [f for f in complex_.faces if not any(f < g for g in complex_.faces)]

@@ -3,12 +3,16 @@ each is compared with the version that re-multiplied the products the ball
 already holds, or scanned the covers by inclusion, list order included
 where the order is kept.  The old versions are kept here as oracles.  The
 balls are every fixture at r = 1, 2, 3 and the triangle a:inf b:inf u:3 at
-r = 4, whose 3-cubes the small balls lack."""
+r = 4, whose 3-cubes the small balls lack; the oracles of the ball's index
+(element ids, the right table and the vertex masks) also run on
+Hypothesis graphs."""
 
 import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcubes import cubes
 from gpcubes.cubes import (
@@ -19,16 +23,16 @@ from gpcubes.cubes import (
     added_hat,
     build_ball,
     check_link_models,
-    clique_at,
     coset_elements,
+    coset_vertex,
     stabilizer,
     vertex_link,
 )
-from gpcubes.groups import parse_graph
+from gpcubes.groups import LabeledGraph, parse_graph
 from gpcubes.morse import cube_max_vertex, descending_link, morse_report
-from gpcubes.special import check_special, edge_hat
+from gpcubes.special import check_free_kernel_action, check_special, edge_hat
 
-from conftest import GRAPH_TEXTS
+from conftest import GRAPH_TEXTS, clique_at
 
 TRIANGLE_TEXT = "a:inf\nb:inf\nu:3\nedge a b\nedge b u\nedge a u\n"
 
@@ -114,6 +118,88 @@ def old_link_faces(ball, v, cubes_at_v):
     ]
 
 
+def inclusion_interval(ball, cube, holding):
+    """The vertices between a cube's ends by frozenset inclusion, among
+    those that hold the bottom's rep (holding: element -> vertices)."""
+    bottom, top = cube.bottom, cube.top
+    return {w for w in holding[bottom.rep] if bottom.elements <= w.elements <= top.elements}
+
+
+# -- the index oracles, one function per query, run on fixed and random balls
+
+
+def check_right_table(ball):
+    """Ids follow (length, lex) order, and each table entry is the id of
+    gp.multiply, -1 exactly when the product is longer than the radius."""
+    gp, elements = ball.gp, ball._elements
+    keys = [gp.sort_key(x) for x in elements]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert set(elements) == ball._element_set
+    for i, x in enumerate(elements):
+        assert ball._ids[x] == i
+        row = ball._right[i]
+        assert len(row) == sum(len(gp.hat_subset(hat)) - 1 for hat in ball.delta.vertices)
+        for hat in ball.delta.vertices:
+            for k, h in zip(ball._columns[hat], gp.hat_subset(hat)[1:]):
+                y = gp.multiply(x, h)
+                if y.length > ball.radius:
+                    assert row[k] == -1
+                else:
+                    assert row[k] >= 0 and elements[row[k]] == y
+
+
+def check_stabilizers(ball):
+    for v in ball.vertices:
+        assert stabilizer(ball, v) == old_stabilizer(ball.gp, v)
+
+
+def check_descent_hats(ball):
+    # every vertex, not only the interior singletons the Morse check reads:
+    # a product leaving the ball must read as rising
+    for v in ball.vertices:
+        assert ball.descent_hats(v) == ball.gp.desc_letters(v.rep)
+
+
+def check_cofaces(ball):
+    gp = ball.gp
+    for v in ball.vertices:
+        if v.clique:
+            continue
+        for c in ball.cliques:
+            expected = ball._by_elements.get(coset_elements(gp, v.rep, c))
+            if expected is None:
+                with pytest.raises(SoundnessError):
+                    ball.coface(v, c)
+            else:
+                assert ball.coface(v, c) is expected
+
+
+def check_mask_intervals(ball):
+    holding = {}
+    for v in ball.vertices:
+        for x in v.elements:
+            holding.setdefault(x, []).append(v)
+    for cube in ball.cubes:
+        found = ball.cube_vertices(cube)
+        assert len(found) == 2 ** cube.dim
+        assert set(found) == inclusion_interval(ball, cube, holding)
+
+
+def check_cliques_per_base(ball):
+    for v in ball.vertices:
+        assert v.clique == clique_at(ball.gp, v.elements, v.rep)
+
+
+INDEX_ORACLES = [
+    check_right_table,
+    check_stabilizers,
+    check_descent_hats,
+    check_cofaces,
+    check_mask_intervals,
+    check_cliques_per_base,
+]
+
+
 @functools.lru_cache(maxsize=None)
 def _ball(name, radius):
     text = TRIANGLE_TEXT if name == "triangle" else GRAPH_TEXTS[name]
@@ -130,8 +216,49 @@ def test_triangle_has_3_cubes():
 
 
 def test_stabilizer_matches_all_quotients(ball):
-    for v in ball.vertices:
-        assert stabilizer(ball.gp, v) == old_stabilizer(ball.gp, v)
+    check_stabilizers(ball)
+
+
+def test_right_table_matches_multiply(ball):
+    check_right_table(ball)
+
+
+def test_descent_hats_match_desc_letters(ball):
+    check_descent_hats(ball)
+
+
+def test_cofaces_match_coset_elements(ball):
+    check_cofaces(ball)
+
+
+def test_mask_intervals_match_the_inclusion_scan(ball):
+    check_mask_intervals(ball)
+
+
+def test_cliques_per_base_match_clique_at(ball):
+    check_cliques_per_base(ball)
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_index_oracles_on_random_graphs(data):
+    names = ["v%d" % i for i in range(data.draw(st.integers(1, 5)))]
+    orders = {n: data.draw(st.sampled_from([2, 3, None])) for n in names}
+    edges = [pair for pair in itertools.combinations(names, 2) if data.draw(st.booleans())]
+    ball = build_ball(LabeledGraph(names, orders, edges), data.draw(st.integers(1, 2)))
+    for oracle in INDEX_ORACLES:
+        oracle(ball)
+
+
+def test_coset_vertex_rejects_a_base_landing_twice(monkeypatch):
+    # {a^-1, 1, a} is no coset of <<a+>>: at its rep 1 both a and a^-1
+    # land, so no one sign can be read off
+    gp = build_ball(parse_graph("a:inf\n"), 1).gp
+    a = gp.generator("a")
+    line = frozenset([gp.invert(a), gp.identity, a])
+    monkeypatch.setattr(cubes, "coset_elements", lambda *args: line)
+    with pytest.raises(SoundnessError):
+        coset_vertex(gp, gp.identity, frozenset(["a+"]))
 
 
 def test_cube_vertices_match_the_model(ball):
@@ -177,7 +304,7 @@ def test_interval_of_the_wrong_dimension_raises(ball):
 def test_added_hat_rejects_a_non_cover(ball):
     for sq in ball.squares:
         with pytest.raises(SoundnessError):
-            added_hat(ball.gp, ball.graph, sq.bottom, sq.top)
+            added_hat(ball, sq.bottom, sq.top)
 
 
 def test_covers_up_match_the_model(ball):
@@ -242,3 +369,21 @@ def test_each_interval_is_searched_once(case, monkeypatch):
         check_link_models(ball, v)
     assert len(searched) == len(ball.cubes)
     assert set(searched) == set(ball.cubes)
+
+
+def test_checks_form_no_products(ball, monkeypatch):
+    # once the index is built, links, Morse and specialness form no product;
+    # the kernel action forms one per non-identity stabilizer element, the
+    # quotient x*rep^-1 it reports, so none where every stabilizer is trivial
+    ball.cubes_containing(ball.vertices[0])  # the incidence reads the masks
+    ball.coface(ball.vertices[0], frozenset())  # the right table
+    calls = []
+    real = ball.gp.normalize
+    monkeypatch.setattr(ball.gp, "normalize", lambda w: calls.append(w) or real(w))
+    for v in ball.interior_vertices:
+        check_link_models(ball, v)
+    morse_report(ball)
+    check_special(ball)
+    assert calls == []
+    report = check_free_kernel_action(ball)
+    assert len(calls) == report["checked"] - len(ball.vertices)

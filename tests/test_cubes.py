@@ -12,7 +12,6 @@ from gpcubes.cubes import (
     SimplicialComplex,
     build_ball,
     check_link_models,
-    clique_at,
     cliques,
     coset_elements,
     coset_vertex,
@@ -24,7 +23,7 @@ from gpcubes.cubes import (
     vertex_link,
 )
 
-from conftest import fresh_python, maximal_faces
+from conftest import clique_at, fresh_python, maximal_faces
 
 
 def poset_leq(a, b):
@@ -245,6 +244,8 @@ class TestSimplicialComplex:
         b = SimplicialComplex("cd", [frozenset("c"), frozenset("d")])
         j = a.join(b)
         assert j.has_face("ac") and not j.has_face("ab")
+        # the product of two closed families needs no second closure
+        assert j.faces == SimplicialComplex("abcd", [x | y for x in a.faces for y in b.faces]).faces
         assert sorted(map(len, maximal_faces(j))) == [2, 2, 2, 2]
 
     def test_flag(self):
@@ -422,28 +423,30 @@ class TestSoundnessChecks:
 
 
 class TestStabilizer:
-    def test_base_point_trivial(self, products):
-        gp = products["mixed"]
-        v = coset_vertex(gp, gp.identity, frozenset())
-        assert stabilizer(gp, v) == {gp.identity}
+    @staticmethod
+    def _vertex(balls, name, clique):
+        b = balls[name]
+        return b, b.vertex(std_subset(b.gp, frozenset(clique)))
 
-    def test_finite_coset_fixed_by_cyclic_subgroup(self, products):
-        gp = products["mixed"]
-        v = coset_vertex(gp, gp.identity, frozenset(["u"]))
-        stab = stabilizer(gp, v)
-        assert stab == {gp.identity, gp.generator("u"), gp.generator("u", 2)}
+    def test_base_point_trivial(self, balls):
+        b, v = self._vertex(balls, "mixed", [])
+        assert stabilizer(b, v) == {b.gp.identity}
 
-    def test_infinite_edge_coset_trivial_stabilizer(self, products):
+    def test_finite_coset_fixed_by_cyclic_subgroup(self, balls):
+        b, v = self._vertex(balls, "mixed", ["u"])
+        gp = b.gp
+        assert stabilizer(b, v) == {gp.identity, gp.generator("u"), gp.generator("u", 2)}
+
+    def test_infinite_edge_coset_trivial_stabilizer(self, balls):
         # {1, a} for a of infinite order: nothing nontrivial permutes it
-        gp = products["single_inf"]
-        v = coset_vertex(gp, gp.identity, frozenset(["a+"]))
-        assert stabilizer(gp, v) == {gp.identity}
+        b, v = self._vertex(balls, "single_inf", ["a+"])
+        assert stabilizer(b, v) == {b.gp.identity}
 
     def test_stabilizers_fix_their_vertex(self, balls):
         b = balls["mixed"]
         gp = b.gp
         for v in b.vertices:
-            for h in stabilizer(gp, v):
+            for h in stabilizer(b, v):
                 assert frozenset(gp.multiply(h, x) for x in v.elements) == v.elements
 
 

@@ -174,12 +174,13 @@ class TestTorsionProjection:
             assert report["ok"], (name, report["failures"])
             assert report["checked"] >= len(b.vertices)
 
-    def test_torsion_is_detected(self, products):
+    def test_torsion_is_detected(self, balls):
         # the stabilizer of the cone point {1,u,u^2} is cyclic of order three
         # and injects under the projection
-        gp = products["mixed"]
-        from gpcubes.cubes import coset_vertex, stabilizer
+        ball = balls["mixed"]
+        gp = ball.gp
+        from gpcubes.cubes import stabilizer, std_subset
 
-        v = coset_vertex(gp, gp.identity, frozenset(["u"]))
-        images = {torsion_projection(gp, h) for h in stabilizer(gp, v)}
+        v = ball.vertex(std_subset(gp, frozenset(["u"])))
+        images = {torsion_projection(gp, h) for h in stabilizer(ball, v)}
         assert images == {(0,), (1,), (2,)}
