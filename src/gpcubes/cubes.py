@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .groups import (
     DEFAULT_ELEMENT_BUDGET,
@@ -174,27 +173,47 @@ def coset_vertex(gp, g, clique):
     return CosetVertex(rep, frozenset(canonical), elements)
 
 
-@dataclass(frozen=True)
 class Cube:
     """Interval [bottom, top]; the 2^dim intermediate vertices are
-    materialized on demand."""
+    materialized on demand.  Equal cubes hash alike, so a fresh Cube finds
+    the ball's stored interval; immutable by convention, as CosetVertex."""
 
-    bottom: CosetVertex
-    top: CosetVertex
-    dim: int
+    __slots__ = ("bottom", "top", "dim")
+
+    def __init__(self, bottom, top, dim):
+        self.bottom = bottom
+        self.top = top
+        self.dim = dim
+
+    def __eq__(self, other):
+        if not isinstance(other, Cube):
+            return NotImplemented
+        return (self.bottom, self.top, self.dim) == (other.bottom, other.top, other.dim)
+
+    def __hash__(self):
+        return hash((self.bottom, self.top, self.dim))
+
+    def __repr__(self):
+        return "Cube(bottom=%r, top=%r, dim=%r)" % (self.bottom, self.top, self.dim)
 
 
 class SimplicialComplex:
     """Finite abstract simplicial complex: a vertex list and a set of faces
-    closed under subsets (the empty face included)."""
+    closed under subsets (the empty face included).
+
+    The closure walks down from missing faces only: the facets of a face
+    are pushed when the face is new, so a family that is already closed
+    costs one membership test per face."""
 
     def __init__(self, vertices, faces):
         self.vertices = tuple(vertices)
         closed = {frozenset()}
-        for f in faces:
-            f = frozenset(f)
-            for k in range(len(f) + 1):
-                closed.update(map(frozenset, itertools.combinations(f, k)))
+        todo = [frozenset(f) for f in faces]
+        while todo:
+            f = todo.pop()
+            if f not in closed:
+                closed.add(f)
+                todo.extend(f - {x} for x in f)
         self.faces = frozenset(closed)
 
     def has_face(self, f):
@@ -514,15 +533,20 @@ def build_ball(graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     return CubeBall(graph, radius, max_elements=max_elements)
 
 
-@dataclass
 class LinkDecomposition:
-    """Link of a vertex, split into the join of its up- and down-parts."""
+    """Link of a vertex, split into the join of its up- and down-parts.
 
-    complex: SimplicialComplex
-    up: SimplicialComplex
-    down: SimplicialComplex
-    up_hats: dict  # up-link vertex -> hat letter added
-    down_classes: dict  # hat letter of the clique -> list of down-link vertices
+    up_hats maps an up-link vertex to the hat letter it adds; down_classes
+    maps a hat letter of the clique to its list of down-link vertices."""
+
+    __slots__ = ("complex", "up", "down", "up_hats", "down_classes")
+
+    def __init__(self, complex, up, down, up_hats, down_classes):
+        self.complex = complex
+        self.up = up
+        self.down = down
+        self.up_hats = up_hats
+        self.down_classes = down_classes
 
 
 def vertex_link(ball, v):

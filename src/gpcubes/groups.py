@@ -26,9 +26,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
-
-Letter = tuple[str, int]
 
 DEFAULT_WORD_BUDGET = 100_000
 DEFAULT_ELEMENT_BUDGET = 100_000
@@ -226,23 +223,35 @@ def format_word(letters):
     return " ".join(s if e == 1 else "%s^%d" % (s, e) for s, e in letters)
 
 
-@dataclass(frozen=True)
 class NormalForm:
     """Canonical reduced word for a group element, with its length cached.
 
     The length counts |exponent| for infinite-order letters and 1 for each
     finite-order letter.  Construct these through GraphProduct.normalize and
-    friends; equality and hashing look at the letters only.
+    friends; equality and hashing look at the letters only.  Instances are
+    immutable by convention, as CosetVertex is: nothing assigns to them
+    after __init__, since they are keys of every set and dict of the ball.
     """
 
-    letters: tuple[Letter, ...]
-    length: int = field(compare=False)
-    graph: LabeledGraph = field(compare=False, repr=False, hash=False)
+    __slots__ = ("letters", "length", "graph")
+
+    def __init__(self, letters, length, graph):
+        self.letters = letters
+        self.length = length
+        self.graph = graph
+
+    def __eq__(self, other):
+        if not isinstance(other, NormalForm):
+            return NotImplemented
+        return self.letters == other.letters
 
     def __hash__(self):
         # CPython hashes -1 like -2, so a^-1 and a^-2 would collide and
         # cancel in the hash of a coset holding both; doubled exponents differ
         return hash(tuple([(s, e + e) for s, e in self.letters]))
+
+    def __repr__(self):
+        return "NormalForm(letters=%r, length=%r)" % (self.letters, self.length)
 
     def __str__(self):
         return format_word(self.letters)

@@ -224,3 +224,24 @@ def test_import_leaves_out_networkx():
         "import sys, gpcubes.cli; sys.exit('networkx' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_closure_is_small():
+    # -S keeps out whatever site's .pth files import, which could hide a
+    # heavy module pulled in by the package itself
+    code = """if 1:
+        import sys
+        import argparse, json, hashlib
+        stdlib = set(sys.modules)
+        import gpcubes.cli
+        heavy = ("dataclasses", "inspect", "ast", "dis")
+        print(" ".join(m for m in heavy if m in sys.modules))
+        print(" ".join(sorted(
+            m for m in set(sys.modules) - stdlib
+            if m != "__future__" and m.split(".")[0] != "gpcubes"
+        )))
+    """
+    proc = fresh_python(code, "-S")
+    assert proc.returncode == 0, proc.stderr
+    # no heavy module, and nothing beyond what the three imports need
+    assert proc.stdout.splitlines() == ["", ""]

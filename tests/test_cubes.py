@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gpcubes.groups import LabeledGraph, hat_base, hat_names, parse_graph
 from gpcubes.cubes import (
     CosetVertex,
+    Cube,
     NotInteriorError,
     SimplicialComplex,
     build_ball,
@@ -266,6 +267,21 @@ class TestSimplicialComplex:
         assert is_flag(k)
         assert len(k.faces) == 9  # exactly the cliques, the empty face included
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_closure_matches_all_subsets(self, data):
+        # the oracle: every subset of every given face, by combinations
+        faces = data.draw(
+            st.lists(st.frozensets(st.integers(0, 5), max_size=6), max_size=6)
+        )
+        expected = {frozenset()}
+        for f in faces:
+            for k in range(len(f) + 1):
+                expected.update(map(frozenset, itertools.combinations(f, k)))
+        assert SimplicialComplex(range(6), faces).faces == expected
+        # closing a closed family again changes nothing
+        assert SimplicialComplex(range(6), expected).faces == expected
+
 
 # -- ball construction ------------------------------------------------------------
 
@@ -356,6 +372,34 @@ class TestCubeBall:
             for hat, members in b.covers_down(v).items():
                 assert len(members) == len(b.gp.hat_subset(hat))
                 assert all(poset_leq(u, v) for u in members)
+
+
+class TestCubeValue:
+    def test_repr(self, balls):
+        cube = balls["single_inf"].cubes[0]
+        assert repr(cube) == (
+            "Cube(bottom=CosetVertex(1|{}), top=CosetVertex(1|{a+}), dim=1)"
+        )
+
+    def test_no_instance_dict(self, balls):
+        assert not hasattr(balls["single_inf"].cubes[0], "__dict__")
+
+    def test_fresh_cube_finds_the_stored_one(self, graphs, monkeypatch):
+        ball = build_ball(graphs["z_squared"], 2)
+        edge = next(c for c in ball.cubes if c.dim == 1)
+        hat = ball.edge_hat(edge)
+        ball.cube_vertices(edge)  # fills the stored intervals
+
+        def unreachable(*args):
+            raise AssertionError("a fresh equal cube missed the stored one")
+
+        monkeypatch.setattr("gpcubes.cubes.added_hat", unreachable)
+        monkeypatch.setattr(ball, "_interval", unreachable)
+        fresh = Cube(edge.bottom, edge.top, 1)
+        assert fresh is not edge and fresh == edge and hash(fresh) == hash(edge)
+        assert ball.edge_hat(fresh) == hat
+        assert ball.cube_vertices(fresh) == [edge.bottom, edge.top]
+        assert fresh != Cube(edge.bottom, edge.top, 2) and fresh != "edge"
 
 
 # -- links -------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from gpcubes.groups import (
     GraphParseError,
     GraphProduct,
     LabeledGraph,
+    NormalForm,
     UnknownGeneratorError,
     PresentationMismatchError,
     hat_names,
@@ -206,6 +207,27 @@ class TestNormalize:
                 assert nf.letters in key
                 by_class.setdefault(key, set()).add(nf)
             assert all(len(nfs) == 1 for nfs in by_class.values())
+
+
+class TestNormalFormValue:
+    def test_equality_reads_the_letters_only(self, products):
+        gp = products["free2"]
+        a = gp.generator("a")
+        other = NormalForm(a.letters, 99, products["z_squared"].graph)
+        assert a == other and hash(a) == hash(other)
+        assert a != gp.generator("b")
+
+    def test_other_types_compare_unequal(self, products):
+        a = products["free2"].generator("a")
+        assert (a == "a") is False and (a != "a") is True
+        assert a.__eq__("a") is NotImplemented
+
+    def test_repr(self, products):
+        nf = products["free2"].normalize((("a", 1), ("b", -2)))
+        assert repr(nf) == "NormalForm(letters=(('a', 1), ('b', -2)), length=3)"
+
+    def test_no_instance_dict(self, products):
+        assert not hasattr(products["free2"].identity, "__dict__")
 
 
 class TestGroupOps:
