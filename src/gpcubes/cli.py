@@ -30,7 +30,7 @@ from .cubes import (
     fundamental_domain_check,
     hat_graph,
 )
-from .dj import ambient_graph, doubled_graph, iso_check
+from .dj import ambient_graph, iso_check
 from .groups import (
     BudgetExceededError,
     DEFAULT_ELEMENT_BUDGET,
@@ -230,7 +230,7 @@ def _cmd_check(args):
 
 def _cmd_dj_graphs(args):
     graph = _load_graph(args.graph)
-    doubled = doubled_graph(graph)
+    doubled = hat_graph(graph)
     ambient = ambient_graph(graph)
     # the original and the doubled complex are both built over the doubled
     # graph, so their cube dimensions agree; the ambient one usually differs

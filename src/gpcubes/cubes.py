@@ -80,7 +80,7 @@ def coset_elements(gp, g, clique):
     elements = {g}
     expected = 1
     for hat in clique:
-        _, *others = gp.hat_subset(hat)  # the identity comes first
+        _, *others = gp.hat_subsets[hat]  # the identity comes first
         expected *= 1 + len(others)
         elements |= {gp.multiply(x, h) for x in elements for h in others}
     if len(elements) != expected:
@@ -104,16 +104,16 @@ def added_hat(ball, bottom, top):
     at bottom.rep, each read through the ball's right table; a
     SoundnessError unless exactly one of them lands in top and
     |top| = |bottom| * |<<h>>|."""
-    graph = ball.graph
-    bases = {hat_base(graph, hat)[0] for hat in top.clique}
-    bases -= {hat_base(graph, hat)[0] for hat in bottom.clique}
+    base_of = ball.gp.base_of
+    bases = {base_of[hat] for hat in top.clique}
+    bases -= {base_of[hat] for hat in bottom.clique}
     if len(bases) != 1:
         raise SoundnessError("cover %r of %r adds bases %r" % (top, bottom, sorted(bases)))
     (base,) = bases
     x, mask = ball._ids[bottom.rep], ball._masks[top]
     landed = [hat for hat in ball.gp.base_hats[base] if ball._lands(x, hat, mask)]
     if len(landed) != 1 or len(top.elements) != len(bottom.elements) * len(
-        ball.gp.hat_subset(landed[0])
+        ball.gp.hat_subsets[landed[0]]
     ):
         raise SoundnessError("cover %r of %r adds hats %r" % (top, bottom, landed))
     return landed[0]
@@ -156,9 +156,8 @@ def coset_vertex(gp, g, clique):
     raised unless exactly one of them lands in the coset."""
     elements = coset_elements(gp, g, clique)
     rep = min(elements, key=gp.sort_key)
-    graph = gp.graph
     canonical = []
-    for base in {hat_base(graph, hat)[0] for hat in clique}:
+    for base in {gp.base_of[hat] for hat in clique}:
         landed = [
             hat
             for hat in gp.base_hats[base]
@@ -175,8 +174,9 @@ def coset_vertex(gp, g, clique):
 
 class Cube:
     """Interval [bottom, top]; the 2^dim intermediate vertices are
-    materialized on demand.  Equal cubes hash alike, so a fresh Cube finds
-    the ball's stored interval; immutable by convention, as CosetVertex."""
+    materialized on demand.  A ball builds one Cube per cube and every
+    query hands that one back, so cubes compare and hash by identity;
+    immutable by convention, as CosetVertex."""
 
     __slots__ = ("bottom", "top", "dim")
 
@@ -184,14 +184,6 @@ class Cube:
         self.bottom = bottom
         self.top = top
         self.dim = dim
-
-    def __eq__(self, other):
-        if not isinstance(other, Cube):
-            return NotImplemented
-        return (self.bottom, self.top, self.dim) == (other.bottom, other.top, other.dim)
-
-    def __hash__(self):
-        return hash((self.bottom, self.top, self.dim))
 
     def __repr__(self):
         return "Cube(bottom=%r, top=%r, dim=%r)" % (self.bottom, self.top, self.dim)
@@ -365,12 +357,13 @@ class CubeBall:
         """The cubes whose interval holds v, in ball.cubes order."""
         return list(self._cubes_at.get(v, ()))
 
-    def edge_hat(self, edge):
-        """The hat letter an edge adds, standardized at the bottom's rep:
-        added_hat, formed once per edge and kept."""
-        if edge not in self._edge_hats:
-            self._edge_hats[edge] = added_hat(self, edge.bottom, edge.top)
-        return self._edge_hats[edge]
+    def edge_hat(self, bottom, top):
+        """The hat letter the edge [bottom, top] adds, standardized at the
+        bottom's rep: added_hat, formed once per edge and kept."""
+        key = (bottom, top)
+        if key not in self._edge_hats:
+            self._edge_hats[key] = added_hat(self, bottom, top)
+        return self._edge_hats[key]
 
     def descent_hats(self, v):
         """The hat letters h whose coset v.rep<<h>> does not rise above
@@ -402,13 +395,10 @@ class CubeBall:
 
         The others follow in itertools.combinations order over the base
         generators each adds to the bottom, by graph index: the signs of the
-        endpoints' infinite letters may differ, their bases may not.  A cube
-        not in ball.cubes is searched for afresh, and raises as _interval
-        does.
+        endpoints' infinite letters may differ, their bases may not.  The
+        cube must be one of ball.cubes: any other raises KeyError.
         """
-        if cube in self._intervals:
-            return list(self._intervals[cube])
-        return self._interval(cube)
+        return list(self._intervals[cube])
 
     # -- the index -------------------------------------------------------------
 
@@ -425,10 +415,10 @@ class CubeBall:
     @functools.cached_property
     def _columns(self):
         """Hat letter -> its columns of the right table: one per
-        non-identity power, in hat_subset order."""
+        non-identity power, in hat_subsets order."""
         out, k = {}, 0
         for hat in self.delta.vertices:
-            n = len(self.gp.hat_subset(hat)) - 1
+            n = len(self.gp.hat_subsets[hat]) - 1
             out[hat] = range(k, k + n)
             k += n
         return out
@@ -438,7 +428,7 @@ class CubeBall:
         """Id of x -> the ids of x*h for the non-identity hat powers h, by
         _columns, with -1 where x*h leaves the ball."""
         gp, ids = self.gp, self._ids
-        powers = [h for hat in self.delta.vertices for h in gp.hat_subset(hat)[1:]]
+        powers = [h for hat in self.delta.vertices for h in gp.hat_subsets[hat][1:]]
         return [[ids.get(gp.multiply(x, h), -1) for h in powers] for x in self._elements]
 
     @functools.cached_property
@@ -489,8 +479,8 @@ class CubeBall:
     @functools.cached_property
     def _base_index(self):
         """Hat letter -> graph index of its base generator."""
-        graph = self.graph
-        return {hat: graph.index[hat_base(graph, hat)[0]] for hat in self.delta.vertices}
+        index = self.graph.index
+        return {hat: index[base] for hat, base in self.gp.base_of.items()}
 
     @functools.cached_property
     def _intervals(self):
@@ -560,7 +550,7 @@ def vertex_link(ball, v):
     if not ball.is_interior(v):
         raise NotInteriorError("link of %r is truncated by the ball boundary" % v)
     ups = ball.covers_up(v)
-    up_hats = {w: ball.edge_hat(Cube(v, w, 1)) for w in ups}
+    up_hats = {w: ball.edge_hat(v, w) for w in ups}
     down_classes = ball.covers_down(v)
     downs = [d for members in down_classes.values() for d in members]
 
@@ -604,7 +594,7 @@ def check_link_models(ball, v, link=None):
     # down-link as a join of discrete sets
     gp = ball.gp
     for hat, members in link.down_classes.items():
-        ok = ok and len(set(members)) == len(gp.hat_subset(hat))
+        ok = ok and len(set(members)) == len(gp.hat_subsets[hat])
     transversals = {frozenset()}
     for members in link.down_classes.values():
         transversals = {
@@ -654,10 +644,7 @@ def fundamental_domain_check(ball):
             ok = False
         key = ",".join(sorted(v.clique, key=ball.delta.index.__getitem__))
         census[key] = census.get(key, 0) + 1
-    orbit_keys = {
-        frozenset(hat_base(ball.graph, hat)[0] for hat in v.clique)
-        for v in ball.vertices
-    }
+    orbit_keys = {frozenset(gp.base_of[hat] for hat in v.clique) for v in ball.vertices}
     return {"ok": ok, "census": census, "orbit_classes": len(orbit_keys)}
 
 
@@ -665,8 +652,9 @@ def fundamental_domain_check(ball):
 
 
 def _vertex_label(ball, v):
+    """The text of a DOT label, with \\ and " escaped: names may hold both."""
     clique = ",".join(sorted(v.clique, key=ball.delta.index.__getitem__))
-    return "%s|{%s}" % (v.rep, clique)
+    return ("%s|{%s}" % (v.rep, clique)).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def ball_to_json(ball):

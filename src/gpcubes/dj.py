@@ -30,12 +30,6 @@ from .groups import (
 )
 
 
-def doubled_graph(graph):
-    """The graph presenting the finite-cyclic-generator companion group;
-    identical to the doubled graph underlying the cube complex."""
-    return hat_graph(graph)
-
-
 def _plus(s):
     return s + "+"
 
@@ -74,12 +68,13 @@ class DJPair:
     def __init__(self, graph):
         self.graph = graph
         self.gp = GraphProduct(graph)
-        self.doubled = doubled_graph(graph)
+        self.doubled = hat_graph(graph)
         self.gp_doubled = GraphProduct(self.doubled)
         self.ambient = ambient_graph(graph)
         self.gp_ambient = GraphProduct(self.ambient)
         inf = graph.infinite_vertices
-        self._e_elements = {
+        # all of E, keyed by the subset of infinite generators involved
+        self.e_elements = {
             frozenset(sub): self.e_hat(frozenset(sub))
             for k in range(len(inf) + 1)
             for sub in itertools.combinations(inf, k)
@@ -116,10 +111,6 @@ class DJPair:
 
     # -- the subgroup E ----------------------------------------------------------
 
-    def e_elements(self):
-        """All of E, keyed by the subset of infinite generators involved."""
-        return dict(self._e_elements)
-
     def e_hat(self, e):
         """The element of E attached to a set of infinite generators (the
         s0 letters commute, so the product needs no ordering)."""
@@ -147,7 +138,7 @@ class DJPair:
                 e ^= {x[:-1]}
         a = self.gp.normalize(tuple(out))
         e = frozenset(e)
-        if self.gp_ambient.multiply(self.beta(a), self._e_elements[e]) != g:
+        if self.gp_ambient.multiply(self.beta(a), self.e_elements[e]) != g:
             raise SoundnessError("factorization failed for %s" % g)
         return a, e
 
@@ -162,12 +153,13 @@ class DJPair:
             elif x.endswith("+"):
                 s = x[:-1]
                 if k % 2:
-                    out.append((s + ("-" if s in e else "+"), 1))
+                    plus, minus = self.gp.base_hats[s]
+                    out.append((minus if s in e else plus, 1))
             elif k % 2:
                 e ^= {x[:-1]}
         a = self.gp_doubled.normalize(tuple(out))
         e = frozenset(e)
-        if self.gp_ambient.multiply(self.alpha(a), self._e_elements[e]) != g:
+        if self.gp_ambient.multiply(self.alpha(a), self.e_elements[e]) != g:
             raise SoundnessError("factorization failed for %s" % g)
         return a, e
 
@@ -178,7 +170,7 @@ class DJPair:
 def _saturate(pair, elements):
     """Multiply a set of ambient elements by all of E on the right."""
     gp2 = pair.gp_ambient
-    es = pair._e_elements.values()
+    es = pair.e_elements.values()
     return frozenset(gp2.multiply(x, e) for x in elements for e in es)
 
 
@@ -206,10 +198,10 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     commuting hat subsets) and saturated with the cached orbits.
     """
     gp2 = pair.gp_ambient
-    es = pair._e_elements.items()
+    es = pair.e_elements.items()
     moves = []  # (hat, product) for every non-identity element of a hat subset
     for hat in gp2.hat_generators:
-        moves.extend((hat, h) for h in gp2.hat_subset(hat)[1:])
+        moves.extend((hat, h) for h in gp2.hat_subsets[hat][1:])
     part = {}  # element -> length of its original-group part
     orbit = {}  # element -> its E-orbit
 
@@ -251,7 +243,7 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     plus_cliques = [
         c
         for c in cliques(pair.doubled)
-        if not any(hat.endswith("-") for hat in c)
+        if all(hat_base(pair.graph, hat)[1] > 0 for hat in c)
     ]
     out = set()
     for c in plus_cliques:

@@ -305,19 +305,23 @@ class GraphProduct:
             s: self._all_bits & ~sum(self._bits[t] for t in graph.neighbors(s))
             for s in graph.vertices
         }
-        # <<h>> for every hat letter h, and the generator h itself; and the
-        # hat letters of each generator, s itself when finite, s+ and s-
-        # when infinite
-        self._hat_subsets = {}
+        # for every hat letter h: the standard subset <<h>> (the whole cyclic
+        # group for a finite generator, {1, s^sign} for an infinite one,
+        # identity first), the generator h itself and its base generator;
+        # and the hat letters of each generator, s itself when finite, s+
+        # and s- when infinite
+        self.hat_subsets = {}
         self.hat_generators = {}
+        self.base_of = {}
         self.base_hats = {}
         for hat in hat_names(graph):
             s, sign = hat_base(graph, hat)
+            self.base_of[hat] = s
             self.base_hats[s] = self.base_hats.get(s, ()) + (hat,)
             c = graph.orders[s]
             powers = (sign,) if c is None else range(1, c)
             subset = (self._identity,) + tuple(self.generator(s, k) for k in powers)
-            self._hat_subsets[hat] = subset
+            self.hat_subsets[hat] = subset
             self.hat_generators[hat] = subset[1]
 
     # -- basic word handling ------------------------------------------------
@@ -446,10 +450,6 @@ class GraphProduct:
         """True iff the two words represent the same group element."""
         return self.normalize(w1) == self.normalize(w2)
 
-    def length(self, g):
-        self._check_presentation(g)
-        return g.length
-
     # -- end letters and the hat alphabet -----------------------------------
 
     def end_letters(self, g):
@@ -463,11 +463,6 @@ class GraphProduct:
                 ends.add(s)
         return frozenset(ends)
 
-    def hat_subset(self, hat):
-        """The standard subset of a hat vertex: the whole cyclic group for a
-        finite generator, {1, s^sign} for an infinite one; identity first."""
-        return self._hat_subsets[hat]
-
     def desc_letters(self, g):
         """Hat vertices whose standard coset at g does not rise above g.
 
@@ -476,7 +471,7 @@ class GraphProduct:
         """
         self._check_presentation(g)
         out = set()
-        for hat, subset in self._hat_subsets.items():
+        for hat, subset in self.hat_subsets.items():
             coset_max = max(self.multiply(g, h).length for h in subset)
             if coset_max == g.length:
                 out.add(hat)

@@ -11,7 +11,7 @@ certified by Euler characteristic 1.
 
 from __future__ import annotations
 
-from .cubes import SimplicialComplex, SoundnessError, vertex_link
+from .cubes import NotInteriorError, SimplicialComplex, SoundnessError, vertex_link
 
 
 class MorseViolationError(AssertionError):
@@ -80,7 +80,7 @@ def check_down_link_simplex(ball, v):
     if not v.clique:
         raise ValueError("vertex has empty clique; use the up-link check")
     if not ball.is_interior(v):
-        raise _not_interior(v)
+        raise NotInteriorError("vertex %r is not interior" % v)
     h = height(v)
     for members in ball.covers_down(v).values():
         descending = [u for u in members if height(u) < h]
@@ -99,7 +99,7 @@ def check_up_link_subdivided_simplex(ball, v):
     if v.rep.is_identity:
         raise ValueError("the base point has an empty descending link")
     if not ball.is_interior(v):
-        raise _not_interior(v)
+        raise NotInteriorError("vertex %r is not interior" % v)
     desc = ball.descent_hats(v)
     for a in desc:
         for b in desc:
@@ -117,12 +117,6 @@ def check_up_link_subdivided_simplex(ball, v):
             descending.add(frozenset(c))
     expected = {frozenset(c) for c in ball.cliques if c and c <= desc}
     return descending == expected
-
-
-def _not_interior(v):
-    from .cubes import NotInteriorError
-
-    return NotInteriorError("vertex %r is not interior" % v)
 
 
 def sublevel_euler(ball, h):

@@ -11,39 +11,32 @@ checkable on a finite ball.
 
 from __future__ import annotations
 
-from .cubes import SoundnessError
-from .groups import hat_base
-
-
-def edge_hat(ball, edge):
-    """The hat letter an edge adds, standardized at the bottom's rep, read
-    off the ball's edge -> hat map."""
-    return ball.edge_hat(edge)
-
 
 def trailing_power(gp, g, base):
     """Exponent of the letter of the given base movable to the end of g,
-    zero when there is none."""
-    if base not in gp.end_letters(g):
-        return 0
+    zero when there is none.  One scan back from the end: it stops at the
+    first letter of the base, or at the first letter that does not commute
+    with the base and so keeps any earlier one from moving past it."""
+    adjacent = gp.graph.adjacent
     for s, e in reversed(g.letters):
         if s == base:
             return e
-    raise SoundnessError("end letter without a letter")  # pragma: no cover
+        if not adjacent(s, base):
+            return 0
+    return 0
 
 
 def full_label(ball, edge):
     """(hat letter, trailing power of its base in the bottom rep)."""
-    hat = edge_hat(ball, edge)
-    base, _ = hat_base(ball.graph, hat)
-    return (hat, trailing_power(ball.gp, edge.bottom.rep, base))
+    hat = ball.edge_hat(edge.bottom, edge.top)
+    return (hat, trailing_power(ball.gp, edge.bottom.rep, ball.gp.base_of[hat]))
 
 
 def base_label(ball, edge):
     """Coarser label that forgets the sign of infinite letters (useful as a
     deliberately broken labelling in negative controls)."""
     hat, k = full_label(ball, edge)
-    return (hat_base(ball.graph, hat)[0], k)
+    return (ball.gp.base_of[hat], k)
 
 
 def _edge_index(ball):
@@ -142,7 +135,7 @@ def check_special(ball, label_fn=None):
     roots = _edge_roots(ball, quads)
     fulls = [full_label(ball, e) for e in edges]
     labels = fulls if label_fn is None else [label_fn(ball, e) for e in edges]
-    bases = [hat_base(ball.graph, hat)[0] for hat, _ in fulls]
+    bases = [ball.gp.base_of[hat] for hat, _ in fulls]
 
     corners = set()
     for sq, (e0, e1, e2, e3) in zip(ball.squares, quads):

@@ -134,13 +134,13 @@ def test_commensurability_algebra(graphs):
         for g in gp2.enumerate_ball(3):
             a, e = pair.factorize(g)
             fibers.setdefault(a, set()).add(e)
-        n_e = len(pair.e_elements())
+        n_e = len(pair.e_elements)
         ok = ok and all(len(es) <= n_e for es in fibers.values())
         ok = ok and len(fibers[gp.identity]) == n_e
         # the two embeddings saturate the standard subsets identically
         for hat in hat_names(pair.graph):
-            lhs = _saturate(pair, {pair.beta(x) for x in gp.hat_subset(hat)})
-            rhs = _saturate(pair, {pair.alpha(x) for x in gpd.hat_subset(hat)})
+            lhs = _saturate(pair, {pair.beta(x) for x in gp.hat_subsets[hat]})
+            rhs = _saturate(pair, {pair.alpha(x) for x in gpd.hat_subsets[hat]})
             ok = ok and lhs == rhs
     verdict("commensurability-algebra", ok)
 

@@ -30,7 +30,7 @@ from gpcubes.cubes import (
 )
 from gpcubes.groups import LabeledGraph, parse_graph
 from gpcubes.morse import cube_max_vertex, descending_link, morse_report
-from gpcubes.special import check_free_kernel_action, check_special, edge_hat
+from gpcubes.special import check_free_kernel_action, check_special
 
 from conftest import GRAPH_TEXTS, clique_at
 
@@ -101,7 +101,7 @@ def old_covers_down(ball, v):
         rest = v.clique - {hat}
         out[hat] = [
             ball.vertex(coset_elements(gp, gp.multiply(v.rep, h), rest))
-            for h in sorted(gp.hat_subset(hat), key=gp.sort_key)
+            for h in sorted(gp.hat_subsets[hat], key=gp.sort_key)
         ]
     return out
 
@@ -138,9 +138,9 @@ def check_right_table(ball):
     for i, x in enumerate(elements):
         assert ball._ids[x] == i
         row = ball._right[i]
-        assert len(row) == sum(len(gp.hat_subset(hat)) - 1 for hat in ball.delta.vertices)
+        assert len(row) == sum(len(gp.hat_subsets[hat]) - 1 for hat in ball.delta.vertices)
         for hat in ball.delta.vertices:
-            for k, h in zip(ball._columns[hat], gp.hat_subset(hat)[1:]):
+            for k, h in zip(ball._columns[hat], gp.hat_subsets[hat][1:]):
                 y = gp.multiply(x, h)
                 if y.length > ball.radius:
                     assert row[k] == -1
@@ -271,9 +271,16 @@ def test_cubes_containing_matches_the_scan(ball):
         assert ball.cubes_containing(v) == old_cubes_containing(ball, v)
 
 
+def test_cubes_containing_hands_back_the_balls_cubes(ball):
+    # cubes compare by identity, so no query may build a Cube of its own
+    held = {id(c) for c in ball.cubes}
+    for v in ball.vertices:
+        assert all(id(c) in held for c in ball.cubes_containing(v))
+
+
 def test_edge_hat_matches_clique_at(ball):
     for e in ball.edges:
-        assert edge_hat(ball, e) == old_edge_hat(ball, e)
+        assert ball.edge_hat(e.bottom, e.top) == old_edge_hat(ball, e)
 
 
 def test_up_hats_match_clique_at(ball):
@@ -298,7 +305,7 @@ def test_edge_hats_are_formed_once(monkeypatch):
 def test_interval_of_the_wrong_dimension_raises(ball):
     for cube in ball.cubes:
         with pytest.raises(SoundnessError):
-            ball.cube_vertices(Cube(cube.bottom, cube.top, cube.dim + 1))
+            ball._interval(Cube(cube.bottom, cube.top, cube.dim + 1))
 
 
 def test_added_hat_rejects_a_non_cover(ball):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -156,6 +157,21 @@ class TestBuild:
         )
         assert code == 0
         assert out.startswith("graph ball {") and out.count("--") == 2
+
+    def test_dot_labels_are_quoted_strings(self, tmp_path, capsys):
+        # the parser accepts " and \ in names, so labels must escape both
+        path = tmp_path / "quotes.graph"
+        path.write_text('a"b:inf\nc\\d:2\nedge a"b c\\d\n')
+        code, out = run(capsys, "build", "--graph", str(path), "--radius", "1", "--format", "dot")
+        assert code == 0
+        lines = [line for line in out.splitlines() if "[label=" in line]
+        assert len(lines) == 7
+        labels = []
+        for line in lines:
+            match = re.fullmatch(r'  v\d+ \[label="((?:[^"\\]|\\.)*)"\];', line)
+            assert match, line
+            labels.append(re.sub(r"\\(.)", r"\1", match.group(1)))
+        assert {'1|{a"b+}', "1|{c\\d}", 'a"b^-1|{}'} <= set(labels)
 
     def test_out_file(self, graph_file, tmp_path, capsys):
         target = tmp_path / "ball.json"

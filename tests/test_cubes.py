@@ -165,7 +165,7 @@ class TestCosetElements:
                 for c in cliques(hat_graph(gp.graph)):
                     expected = {
                         gp.normalize(x.letters + tuple(l for h in hs for l in h.letters))
-                        for hs in itertools.product(*(gp.hat_subset(hat) for hat in c))
+                        for hs in itertools.product(*(gp.hat_subsets[hat] for hat in c))
                     }
                     assert coset_elements(gp, x, c) == expected
 
@@ -370,7 +370,7 @@ class TestCubeBall:
         b = balls["mixed"]
         for v in b.vertices:
             for hat, members in b.covers_down(v).items():
-                assert len(members) == len(b.gp.hat_subset(hat))
+                assert len(members) == len(b.gp.hat_subsets[hat])
                 assert all(poset_leq(u, v) for u in members)
 
 
@@ -384,22 +384,17 @@ class TestCubeValue:
     def test_no_instance_dict(self, balls):
         assert not hasattr(balls["single_inf"].cubes[0], "__dict__")
 
-    def test_fresh_cube_finds_the_stored_one(self, graphs, monkeypatch):
-        ball = build_ball(graphs["z_squared"], 2)
-        edge = next(c for c in ball.cubes if c.dim == 1)
-        hat = ball.edge_hat(edge)
-        ball.cube_vertices(edge)  # fills the stored intervals
+    def test_cubes_compare_by_identity(self, balls):
+        # a ball holds one Cube per cube, so identity is equality
+        assert "__eq__" not in vars(Cube) and "__hash__" not in vars(Cube)
+        edge = balls["z_squared"].edges[0]
+        assert Cube(edge.bottom, edge.top, 1) != edge
 
-        def unreachable(*args):
-            raise AssertionError("a fresh equal cube missed the stored one")
-
-        monkeypatch.setattr("gpcubes.cubes.added_hat", unreachable)
-        monkeypatch.setattr(ball, "_interval", unreachable)
-        fresh = Cube(edge.bottom, edge.top, 1)
-        assert fresh is not edge and fresh == edge and hash(fresh) == hash(edge)
-        assert ball.edge_hat(fresh) == hat
-        assert ball.cube_vertices(fresh) == [edge.bottom, edge.top]
-        assert fresh != Cube(edge.bottom, edge.top, 2) and fresh != "edge"
+    def test_foreign_cube_raises_key_error(self, balls):
+        ball = balls["z_squared"]
+        for cube in ball.cubes:
+            with pytest.raises(KeyError):
+                ball.cube_vertices(Cube(cube.bottom, cube.top, cube.dim))
 
 
 # -- links -------------------------------------------------------------------------
@@ -456,7 +451,7 @@ class TestSoundnessChecks:
             ball = build_ball(parse_graph("a:inf\\nb:inf\\nedge a b\\n"), 1)
             edge = ball.edges[0]
             try:
-                ball.cube_vertices(Cube(edge.bottom, edge.top, 2))
+                ball._interval(Cube(edge.bottom, edge.top, 2))
             except SoundnessError:
                 sys.exit(0)
             sys.exit(1)

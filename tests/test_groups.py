@@ -14,6 +14,7 @@ from gpcubes.groups import (
     NormalForm,
     UnknownGeneratorError,
     PresentationMismatchError,
+    hat_base,
     hat_names,
     parse_graph,
     parse_word,
@@ -332,6 +333,37 @@ class TestEndLetters:
                     assert gp.graph.adjacent(s, t)
 
 
+def check_hat_tables(gp):
+    """base_of, base_hats, hat_subsets and hat_generators against the name
+    parser hat_base and the alphabet hat_names."""
+    graph = gp.graph
+    names = hat_names(graph)
+    assert tuple(gp.base_of) == tuple(gp.hat_subsets) == tuple(gp.hat_generators) == names
+    for hat in names:
+        base, sign = hat_base(graph, hat)
+        assert gp.base_of[hat] == base
+        if graph.is_finite(base):
+            powers = [gp.generator(base, k) for k in range(1, graph.order(base))]
+        else:
+            powers = [gp.generator(base, sign)]
+        assert gp.hat_subsets[hat] == (gp.identity, *powers)
+        assert gp.hat_generators[hat] == powers[0]
+    assert gp.base_hats == {
+        s: tuple(hat for hat in names if hat_base(graph, hat)[0] == s) for s in graph.vertices
+    }
+
+
+class TestHatTables:
+    def test_fixtures(self, products):
+        for gp in products.values():
+            check_hat_tables(gp)
+
+    @given(labelled_graphs())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_random_graphs(self, graph):
+        check_hat_tables(GraphProduct(graph))
+
+
 class TestDescLetters:
     def test_infinite_generator_descends_by_inverse(self, products):
         gp = products["single_inf"]
@@ -353,7 +385,7 @@ class TestDescLetters:
                 for hat in hat_names(gp.graph):
                     lengths = [
                         oracle_min_length(gp, g.letters + h.letters)
-                        for h in gp.hat_subset(hat)
+                        for h in gp.hat_subsets[hat]
                     ]
                     if max(lengths) == oracle_min_length(gp, g.letters):
                         expected.add(hat)

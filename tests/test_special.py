@@ -6,7 +6,6 @@ from gpcubes.special import (
     base_label,
     check_free_kernel_action,
     check_special,
-    edge_hat,
     full_label,
     hyperplanes,
     torsion_projection,
@@ -61,12 +60,26 @@ class TestLabels:
         h = gp.normalize((("a", 1),))
         assert trailing_power(gp, h, "b") == 0
 
+    def test_trailing_power_matches_end_letters(self, products):
+        # the definition through end_letters, kept as the oracle: the last
+        # letter of the base, when the base is an end letter.  The elements
+        # of the radius-3 ball include every rep of every ball of r <= 3.
+        def oracle(gp, g, base):
+            if base not in gp.end_letters(g):
+                return 0
+            return next(e for s, e in reversed(g.letters) if s == base)
+
+        for gp in products.values():
+            for g in gp.enumerate_ball(3):
+                for base in gp.graph.vertices:
+                    assert trailing_power(gp, g, base) == oracle(gp, g, base)
+
     def test_granularities(self, balls):
         b = balls["free2"]
         e = b.edges[0]
         hat, k = full_label(b, e)
         assert base_label(b, e) == (hat.rstrip("+-"), k)
-        assert edge_hat(b, e) == hat
+        assert b.edge_hat(e.bottom, e.top) == hat
 
 
 class TestHyperplanes:
