@@ -74,7 +74,7 @@ def _certificate(graph, payload, radius=None):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -273,6 +273,9 @@ def main(argv=None):
     except BudgetExceededError as err:
         print("error: %s" % err, file=sys.stderr)
         return 3
+    except UnicodeEncodeError as err:
+        print("error: cannot write the output: %s" % err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

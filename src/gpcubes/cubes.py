@@ -211,20 +211,6 @@ class SimplicialComplex:
     def has_face(self, f):
         return frozenset(f) in self.faces
 
-    def join(self, other):
-        """The join: each face of self with each of other.  Both families
-        hold the empty face and are closed, so their product is closed."""
-        out = SimplicialComplex(self.vertices + other.vertices, ())
-        out.faces = frozenset(a | b for a in self.faces for b in other.faces)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and set(self.vertices) == set(other.vertices)
-            and self.faces == other.faces
-        )
-
     def __repr__(self):
         return "SimplicialComplex(%d vertices, %d faces)" % (
             len(self.vertices),
@@ -255,12 +241,13 @@ class CubeBall:
     * a right table: id -> the ids of x*h for every non-identity hat power
       h, -1 where x*h leaves the ball, each entry one gp.multiply;
     * each vertex's element ids as a bitmask.
-    Interval inclusion is a mask test; edge_hat (added_hat), the Morse
-    up-link check (descent_hats, coface) and stabilizer read the table.
-    fundamental_domain_check still forms products: it is the independent
-    check that every vertex is a translate of a base vertex, and must not
-    rest on the table it would vouch for.  The index and the incidence are
-    built on first use, as only the checks need them."""
+    Interval inclusion is a mask test; edge_hat (added_hat) and stabilizer
+    read the table.  One link read (vertex_link) serves both the link-model
+    check and the Morse up-link check.  fundamental_domain_check still
+    forms products: it is the independent check that every vertex is a
+    translate of a base vertex, and must not rest on the table it would
+    vouch for.  The index and the incidence are built on first use, as
+    only the checks need them."""
 
     def __init__(self, graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         self.graph = graph
@@ -364,31 +351,6 @@ class CubeBall:
         if key not in self._edge_hats:
             self._edge_hats[key] = added_hat(self, bottom, top)
         return self._edge_hats[key]
-
-    def descent_hats(self, v):
-        """The hat letters h whose coset v.rep<<h>> does not rise above
-        v.rep: GraphProduct.desc_letters of v.rep, read through the right
-        table.  A product that leaves the ball is longer than v.rep."""
-        right, elements = self._right[self._ids[v.rep]], self._elements
-        n = v.rep.length
-        return frozenset(
-            hat
-            for hat, cols in self._columns.items()
-            if all(right[k] >= 0 and elements[right[k]].length <= n for k in cols)
-        )
-
-    def coface(self, v, clique):
-        """The vertex v.rep<<C>>, read through the right table and found
-        among the vertices holding v.rep; a SoundnessError unless it is a
-        vertex of the ball."""
-        x = self._ids[v.rep]
-        mask, masks = self._coset_mask(x, clique), self._masks
-        for w in self._holding[x]:
-            if masks[w] == mask:
-                return w
-        raise SoundnessError(
-            "%s<<%s>> is not a vertex of the ball" % (v.rep, ",".join(sorted(clique)))
-        )
 
     def cube_vertices(self, cube):
         """The 2^dim vertices of an interval cube, bottom first.
@@ -523,29 +485,13 @@ def build_ball(graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     return CubeBall(graph, radius, max_elements=max_elements)
 
 
-class LinkDecomposition:
-    """Link of a vertex, split into the join of its up- and down-parts.
-
-    up_hats maps an up-link vertex to the hat letter it adds; down_classes
-    maps a hat letter of the clique to its list of down-link vertices."""
-
-    __slots__ = ("complex", "up", "down", "up_hats", "down_classes")
-
-    def __init__(self, complex, up, down, up_hats, down_classes):
-        self.complex = complex
-        self.up = up
-        self.down = down
-        self.up_hats = up_hats
-        self.down_classes = down_classes
-
-
 def vertex_link(ball, v):
-    """The link of an interior vertex, with its up/down join decomposition.
+    """The link of an interior vertex, as (link, up_hats, down_classes).
 
     Simplices of the link correspond to cubes containing v, each spanned
-    by the covers of v in its interval; an up-link vertex is a cover above
-    v, labelled by the hat letter it adds (ball.edge_hat), a down-link vertex
-    a cover below.
+    by the covers of v in its interval.  up_hats maps each cover above v
+    to the hat letter it adds (ball.edge_hat); down_classes is
+    ball.covers_down(v), the covers below v grouped by hat letter.
     """
     if not ball.is_interior(v):
         raise NotInteriorError("link of %r is truncated by the ball boundary" % v)
@@ -553,55 +499,34 @@ def vertex_link(ball, v):
     up_hats = {w: ball.edge_hat(v, w) for w in ups}
     down_classes = ball.covers_down(v)
     downs = [d for members in down_classes.values() for d in members]
-
     covers = set(downs + ups)
     faces = [covers.intersection(ball.cube_vertices(c)) for c in ball.cubes_containing(v)]
-    link = SimplicialComplex(tuple(downs) + tuple(ups), faces)
-    up = SimplicialComplex(ups, [f & set(ups) for f in faces])
-    down = SimplicialComplex(downs, [f & set(downs) for f in faces])
-    return LinkDecomposition(link, up, down, up_hats, down_classes)
+    return SimplicialComplex(downs + ups, faces), up_hats, down_classes
 
 
-def check_link_models(ball, v, link=None):
-    """Verify the structure of the link of an interior vertex:
-
-    * the link is the join of its up- and down-parts,
-    * the up-link is isomorphic (via the added hat letter) to the link of
-      the clique in the flag complex of the doubled graph,
-    * the down-link is the join of discrete sets, one of size |<<s>>| per
-      clique letter s.
+def check_link_models(ball, v):
+    """Verify that the link of an interior vertex is the join of an up-part
+    and a down-part: that its faces are exactly the unions U + D, where U
+    runs over the up-covers adding the hats of C - v.clique for a clique
+    C >= v.clique (the link of v.clique in the flag complex of the doubled
+    graph, read through distinct hats), and D over the partial transversals
+    of the down classes, each of |<<h>>| covers for a letter h of v.clique.
     """
-    link = link or vertex_link(ball, v)
-    ok = link.complex == link.up.join(link.down)
-
-    # up-link against the flag complex of the doubled graph
-    delta = ball.delta
-    hats = set(link.up_hats.values())
-    ok = ok and len(hats) == len(link.up.vertices)
-    expected_up_faces = set()
-    for c in ball.cliques:
-        if v.clique <= c and (c - v.clique) <= hats:
-            expected_up_faces.add(frozenset(c - v.clique))
-    inverse = {hat: w for w, hat in link.up_hats.items()}
-    actual_up_faces = {
-        frozenset(link.up_hats[w] for w in f) for f in link.up.faces
-    }
-    ok = ok and actual_up_faces == expected_up_faces
-    ok = ok and all(
-        frozenset(inverse[h] for h in f) in link.up.faces for f in expected_up_faces
-    )
-
-    # down-link as a join of discrete sets
-    gp = ball.gp
-    for hat, members in link.down_classes.items():
-        ok = ok and len(set(members)) == len(gp.hat_subsets[hat])
-    transversals = {frozenset()}
-    for members in link.down_classes.values():
-        transversals = {
-            t | extra for t in transversals for extra in ([frozenset()] + [frozenset([m]) for m in members])
-        }
-    ok = ok and link.down.faces == frozenset(transversals)
-    return ok
+    link, up_hats, down_classes = vertex_link(ball, v)
+    cover = {hat: w for w, hat in up_hats.items()}
+    if len(cover) != len(up_hats) or any(
+        len(set(members)) != len(ball.gp.hat_subsets[hat])
+        for hat, members in down_classes.items()
+    ):
+        return False
+    faces = [
+        frozenset(cover[h] for h in c - v.clique)
+        for c in ball.cliques
+        if v.clique <= c and c - v.clique <= cover.keys()
+    ]
+    for members in down_classes.values():
+        faces = [f | {m} for f in faces for m in members] + faces
+    return link.faces == set(faces)
 
 
 def stabilizer(ball, v):

@@ -53,16 +53,15 @@ def descending_link(ball, v):
     A cube containing v contributes a simplex exactly when v is its unique
     height-maximal vertex.
     """
-    link = vertex_link(ball, v)
-    covers = set(link.complex.vertices)
-    ups = set(link.up.vertices)
+    link, up_hats, _ = vertex_link(ball, v)
+    covers = set(link.vertices)
     faces = [
         covers.intersection(ball.cube_vertices(cube))
         for cube in ball.cubes_containing(v)
         if cube_max_vertex(ball, cube) == v
     ]
-    faces_up = [f & ups for f in faces]
-    faces_down = [f - ups for f in faces]
+    faces_up = [f & up_hats.keys() for f in faces]
+    faces_down = [f - up_hats.keys() for f in faces]
     up_vertices = sorted({x for f in faces_up for x in f}, key=lambda w: ball.gp.sort_key(w.rep))
     down_vertices = sorted(
         {x for f in faces_down for x in f}, key=lambda w: ball.gp.sort_key(w.rep)
@@ -71,6 +70,21 @@ def descending_link(ball, v):
         SimplicialComplex(up_vertices, faces_up),
         SimplicialComplex(down_vertices, faces_down),
     )
+
+
+def descending_cofaces(ball, v):
+    """For a singleton vertex {g}, read off its link: the hats h whose
+    up-cover g<<h>> is no longer than g (desc_letters(g)), and the cliques
+    C whose cube bottomed at {g} has a top g<<C>> no longer than g."""
+    _, up_hats, _ = vertex_link(ball, v)
+    n = v.rep.length
+    desc = frozenset(hat for w, hat in up_hats.items() if w.max_length == n)
+    cofaces = {
+        frozenset(up_hats[w] for w in ball.cube_vertices(cube) if w in up_hats)
+        for cube in ball.cubes_containing(v)
+        if cube.bottom is v and cube.top.max_length == n
+    }
+    return desc, cofaces
 
 
 def check_down_link_simplex(ball, v):
@@ -93,30 +107,16 @@ def check_up_link_subdivided_simplex(ball, v):
     """For a singleton vertex {g}, g != 1: the descending up-link must be
     the poset of nonempty subsets of desc_letters(g) (the barycentric
     subdivision of a simplex), with desc_letters(g) a clique.  The descent
-    letters and the cofaces are read through the ball's right table."""
+    letters and the descending cofaces are read off the link of {g}, the
+    one link read that check_link_models makes too."""
     if v.clique:
         raise ValueError("vertex has a nonempty clique; use the down-link check")
     if v.rep.is_identity:
         raise ValueError("the base point has an empty descending link")
-    if not ball.is_interior(v):
-        raise NotInteriorError("vertex %r is not interior" % v)
-    desc = ball.descent_hats(v)
-    for a in desc:
-        for b in desc:
-            if a != b and not ball.delta.adjacent(a, b):
-                return False
-
-    # a coface g<<C>> is descending iff its coset does not rise above g;
-    # the vertex being interior, every coface exists in the ball
-    descending = set()
-    for c in ball.cliques:
-        if not c:
-            continue
-        w = ball.coface(v, c)
-        if w.max_length == v.rep.length:
-            descending.add(frozenset(c))
-    expected = {frozenset(c) for c in ball.cliques if c and c <= desc}
-    return descending == expected
+    desc, descending = descending_cofaces(ball, v)
+    if any(a != b and not ball.delta.adjacent(a, b) for a in desc for b in desc):
+        return False
+    return descending == {frozenset(c) for c in ball.cliques if c and c <= desc}
 
 
 def sublevel_euler(ball, h):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import gpcubes
+from gpcubes.cubes import SimplicialComplex
 from gpcubes.groups import GraphProduct, parse_graph
 
 # The standing fixture set: one graph per small phenomenon.
@@ -24,10 +25,11 @@ GRAPH_TEXTS = {
 }
 
 
-def fresh_python(code, *flags):
-    """Run code in a new interpreter that imports the gpcubes under test."""
+def fresh_python(code, *flags, env=None):
+    """Run code in a new interpreter that imports the gpcubes under test,
+    with the variables in env set on top of this process's environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gpcubes.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *flags, "-c", code],
@@ -45,6 +47,11 @@ def clique_at(gp, elements, at):
     return frozenset(
         hat for hat, h in gp.hat_generators.items() if gp.multiply(at, h) in elements
     )
+
+
+def join(a, b):
+    """The join of two SimplicialComplexes: each face of a with each of b."""
+    return SimplicialComplex(a.vertices + b.vertices, [x | y for x in a.faces for y in b.faces])
 
 
 def maximal_faces(complex_):

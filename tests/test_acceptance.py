@@ -81,9 +81,8 @@ def test_links_are_flag(graphs):
     for name, graph in graphs.items():
         ball = build_ball(graph, 2)
         for v in ball.interior_vertices:
-            link = vertex_link(ball, v)
-            ok = ok and is_flag(link.complex)
-            ok = ok and check_link_models(ball, v, link)
+            ok = ok and is_flag(vertex_link(ball, v)[0])
+            ok = ok and check_link_models(ball, v)
     verdict("interior-links-flag", ok)
 
 

@@ -29,10 +29,10 @@ from gpcubes.cubes import (
     vertex_link,
 )
 from gpcubes.groups import LabeledGraph, parse_graph
-from gpcubes.morse import cube_max_vertex, descending_link, morse_report
+from gpcubes.morse import cube_max_vertex, descending_cofaces, descending_link, morse_report
 from gpcubes.special import check_free_kernel_action, check_special
 
-from conftest import GRAPH_TEXTS, clique_at
+from conftest import GRAPH_TEXTS, clique_at, join
 
 TRIANGLE_TEXT = "a:inf\nb:inf\nu:3\nedge a b\nedge b u\nedge a u\n"
 
@@ -118,6 +118,36 @@ def old_link_faces(ball, v, cubes_at_v):
     ]
 
 
+def old_check_link_models(ball, v, link, up_hats, down_classes):
+    """The three-part check of a link, given the parts vertex_link returns:
+    the link is the join of its up- and down-parts, the up-part maps onto
+    the link of v.clique in the flag complex through distinct hats, and the
+    down-part is the join of discrete sets of |<<h>>| members."""
+    ups = set(up_hats)
+    downs = {d for members in down_classes.values() for d in members}
+    up = SimplicialComplex(ups, [f & ups for f in link.faces])
+    down = SimplicialComplex(downs, [f & downs for f in link.faces])
+    ok = link.faces == join(up, down).faces
+
+    hats = set(up_hats.values())
+    ok = ok and len(hats) == len(up.vertices)
+    expected_up_faces = {
+        frozenset(c - v.clique) for c in ball.cliques if v.clique <= c and c - v.clique <= hats
+    }
+    inverse = {hat: w for w, hat in up_hats.items()}
+    ok = ok and {frozenset(up_hats[w] for w in f) for f in up.faces} == expected_up_faces
+    ok = ok and all(frozenset(inverse[h] for h in f) in up.faces for f in expected_up_faces)
+
+    for hat, members in down_classes.items():
+        ok = ok and len(set(members)) == len(ball.gp.hat_subsets[hat])
+    transversals = {frozenset()}
+    for members in down_classes.values():
+        transversals = {
+            t | extra for t in transversals for extra in [frozenset()] + [frozenset([m]) for m in members]
+        }
+    return ok and down.faces == transversals
+
+
 def inclusion_interval(ball, cube, holding):
     """The vertices between a cube's ends by frozenset inclusion, among
     those that hold the bottom's rep (holding: element -> vertices)."""
@@ -153,25 +183,24 @@ def check_stabilizers(ball):
         assert stabilizer(ball, v) == old_stabilizer(ball.gp, v)
 
 
+def interior_singletons(ball):
+    return [v for v in ball.interior_vertices if not v.clique]
+
+
 def check_descent_hats(ball):
-    # every vertex, not only the interior singletons the Morse check reads:
-    # a product leaving the ball must read as rising
-    for v in ball.vertices:
-        assert ball.descent_hats(v) == ball.gp.desc_letters(v.rep)
+    # the base point included: none of its up-covers stays at length 0
+    for v in interior_singletons(ball):
+        assert descending_cofaces(ball, v)[0] == ball.gp.desc_letters(v.rep)
 
 
 def check_cofaces(ball):
     gp = ball.gp
-    for v in ball.vertices:
-        if v.clique:
-            continue
-        for c in ball.cliques:
-            expected = ball._by_elements.get(coset_elements(gp, v.rep, c))
-            if expected is None:
-                with pytest.raises(SoundnessError):
-                    ball.coface(v, c)
-            else:
-                assert ball.coface(v, c) is expected
+    for v in interior_singletons(ball):
+        n = v.rep.length
+        expected = {
+            c for c in ball.cliques if c and max(x.length for x in coset_elements(gp, v.rep, c)) == n
+        }
+        assert descending_cofaces(ball, v)[1] == expected
 
 
 def check_mask_intervals(ball):
@@ -285,7 +314,7 @@ def test_edge_hat_matches_clique_at(ball):
 
 def test_up_hats_match_clique_at(ball):
     for v in ball.interior_vertices:
-        for w, hat in vertex_link(ball, v).up_hats.items():
+        for w, hat in vertex_link(ball, v)[1].items():
             assert {hat} == clique_at(ball.gp, w.elements, v.rep) - v.clique
 
 
@@ -348,15 +377,74 @@ def test_covers_form_no_products(ball, monkeypatch):
 def test_link_faces_match_the_inclusion_scan(ball):
     for v in ball.interior_vertices:
         at_v = ball.cubes_containing(v)
-        link = vertex_link(ball, v)
-        assert link.complex == SimplicialComplex(
-            link.complex.vertices, old_link_faces(ball, v, at_v)
-        )
-        ups = set(link.up.vertices)
+        link, up_hats, _ = vertex_link(ball, v)
+        assert link.faces == SimplicialComplex((), old_link_faces(ball, v, at_v)).faces
         faces = old_link_faces(ball, v, [c for c in at_v if cube_max_vertex(ball, c) == v])
         up, down = descending_link(ball, v)
-        assert up.faces == SimplicialComplex((), [f & ups for f in faces]).faces
-        assert down.faces == SimplicialComplex((), [f - ups for f in faces]).faces
+        assert up.faces == SimplicialComplex((), [f & up_hats.keys() for f in faces]).faces
+        assert down.faces == SimplicialComplex((), [f - up_hats.keys() for f in faces]).faces
+
+
+def test_link_check_matches_the_three_part_check(ball):
+    for v in ball.interior_vertices:
+        assert check_link_models(ball, v)
+        assert old_check_link_models(ball, v, *vertex_link(ball, v))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_link_check_matches_the_three_part_check_on_random_graphs(data):
+    names = ["v%d" % i for i in range(data.draw(st.integers(1, 5)))]
+    orders = {n: data.draw(st.sampled_from([2, 3, None])) for n in names}
+    edges = [pair for pair in itertools.combinations(names, 2) if data.draw(st.booleans())]
+    ball = build_ball(LabeledGraph(names, orders, edges), 2)
+    for v in ball.interior_vertices:
+        verdict = check_link_models(ball, v)
+        assert verdict == old_check_link_models(ball, v, *vertex_link(ball, v))
+
+
+def drop_a_face(link, up_hats, down_classes):
+    """The link without one of its largest faces."""
+    face = max(link.faces, key=len)
+    return SimplicialComplex(link.vertices, link.faces - {face}), up_hats, down_classes
+
+
+def share_a_hat(link, up_hats, down_classes):
+    """Two up-covers given one hat; None with fewer than two."""
+    if len(up_hats) < 2:
+        return None
+    first, second, *_ = up_hats
+    return link, {**up_hats, second: up_hats[first]}, down_classes
+
+
+def shorten_a_class(link, up_hats, down_classes):
+    """A down class one member short, the member gone from the link too, so
+    that the faces still match; None without a down class."""
+    if not down_classes:
+        return None
+    hat, members = next(iter(down_classes.items()))
+    gone = members[-1]
+    kept = SimplicialComplex(
+        [w for w in link.vertices if w is not gone], [f for f in link.faces if gone not in f]
+    )
+    return kept, up_hats, {**down_classes, hat: members[:-1]}
+
+
+@pytest.mark.parametrize("mutate", [drop_a_face, share_a_hat, shorten_a_class])
+def test_both_link_checks_reject_a_broken_link(ball, mutate, monkeypatch):
+    real = cubes.vertex_link
+    mutated = 0
+    for v in ball.interior_vertices:
+        parts = mutate(*real(ball, v))
+        if parts is None:
+            continue
+        mutated += 1
+        monkeypatch.setattr(cubes, "vertex_link", lambda ball, v: parts)
+        assert not check_link_models(ball, v)
+        assert not old_check_link_models(ball, v, *parts)
+    # every control reaches a vertex on the larger balls
+    if ball.radius >= 2 and len(ball.delta.vertices) >= 2:
+        assert mutated
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -383,7 +471,7 @@ def test_checks_form_no_products(ball, monkeypatch):
     # the kernel action forms one per non-identity stabilizer element, the
     # quotient x*rep^-1 it reports, so none where every stabilizer is trivial
     ball.cubes_containing(ball.vertices[0])  # the incidence reads the masks
-    ball.coface(ball.vertices[0], frozenset())  # the right table
+    ball._right  # the right table
     calls = []
     real = ball.gp.normalize
     monkeypatch.setattr(ball.gp, "normalize", lambda w: calls.append(w) or real(w))

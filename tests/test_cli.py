@@ -261,3 +261,43 @@ def test_import_closure_is_small():
     assert proc.returncode == 0, proc.stderr
     # no heavy module, and nothing beyond what the three imports need
     assert proc.stdout.splitlines() == ["", ""]
+
+
+class TestNonAsciiNames:
+    GRAPH = "α:inf\nβ:2\nedge α β\n"
+    # no UTF-8 from the locale: neither coerced (PEP 538) nor UTF-8 mode
+    # (PEP 540), and no stream encoding set (Python ignores an empty one)
+    ASCII_LOCALE = {
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "PYTHONIOENCODING": "",
+    }
+
+    @pytest.fixture()
+    def greek(self, tmp_path):
+        path = tmp_path / "greek.graph"
+        path.write_text(self.GRAPH, encoding="utf-8")
+        return str(path)
+
+    def run_cli(self, argv, env):
+        code = "import sys; from gpcubes.cli import main; sys.exit(main(%r))" % (argv,)
+        return fresh_python(code, env=env)
+
+    def test_out_is_written_as_utf8_under_an_ascii_locale(self, greek, tmp_path):
+        target = tmp_path / "ball.dot"
+        argv = ["build", "--graph", greek, "--format", "dot", "--radius", "1", "--out", str(target)]
+        proc = self.run_cli(argv, self.ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert 'label="1|{α+}"' in target.read_text(encoding="utf-8")
+
+    def test_check_json_is_ascii_under_an_ascii_locale(self, greek):
+        proc = self.run_cli(["check", "--graph", greek, "--radius", "2"], self.ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.isascii() and json.loads(proc.stdout)["graph"] == self.GRAPH
+
+    def test_stdout_that_cannot_encode_exits_two(self, greek):
+        proc = self.run_cli(["normalize", "--graph", greek, "β, α"], {"PYTHONIOENCODING": "ascii"})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

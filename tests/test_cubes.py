@@ -240,15 +240,6 @@ class TestSimplicialComplex:
         assert k.has_face("ab") and k.has_face("c") and k.has_face("")
         assert maximal_faces(k) == [frozenset("abc")]
 
-    def test_join(self):
-        a = SimplicialComplex("ab", [frozenset("a"), frozenset("b")])
-        b = SimplicialComplex("cd", [frozenset("c"), frozenset("d")])
-        j = a.join(b)
-        assert j.has_face("ac") and not j.has_face("ab")
-        # the product of two closed families needs no second closure
-        assert j.faces == SimplicialComplex("abcd", [x | y for x in a.faces for y in b.faces]).faces
-        assert sorted(map(len, maximal_faces(j))) == [2, 2, 2, 2]
-
     def test_flag(self):
         full = SimplicialComplex("abc", [frozenset("abc")])
         hollow = SimplicialComplex(
@@ -403,30 +394,30 @@ class TestCubeValue:
 class TestLinks:
     def test_real_line_base_point(self, balls):
         b = balls["single_inf"]
-        lk = vertex_link(b, b.vertex({b.gp.identity}))
+        link, up_hats, down_classes = vertex_link(b, b.vertex({b.gp.identity}))
         # two isolated points: one per direction
-        assert len(lk.up.vertices) == 2 and not lk.down.vertices
-        assert sorted(map(len, maximal_faces(lk.complex))) == [1, 1]
-        assert set(lk.up_hats.values()) == {"a+", "a-"}
+        assert len(up_hats) == 2 and not down_classes
+        assert sorted(map(len, maximal_faces(link))) == [1, 1]
+        assert set(up_hats.values()) == {"a+", "a-"}
 
     def test_real_line_edge_midpoint(self, balls):
         b = balls["single_inf"]
         gp = b.gp
-        lk = vertex_link(b, b.vertex({gp.identity, gp.generator("a")}))
-        assert not lk.up.vertices and len(lk.down.vertices) == 2
+        _, up_hats, down_classes = vertex_link(b, b.vertex({gp.identity, gp.generator("a")}))
+        assert not up_hats and list(map(len, down_classes.values())) == [2]
 
     def test_torus_base_point_is_four_cycle(self, balls):
         b = balls["z_squared"]
-        lk = vertex_link(b, b.vertex({b.gp.identity}))
-        assert len(lk.up.vertices) == 4
-        assert len(skeleton_edges(lk.complex)) == 4
-        assert sorted(map(len, maximal_faces(lk.complex))) == [2, 2, 2, 2]
+        link, up_hats, _ = vertex_link(b, b.vertex({b.gp.identity}))
+        assert len(up_hats) == 4
+        assert len(skeleton_edges(link)) == 4
+        assert sorted(map(len, maximal_faces(link))) == [2, 2, 2, 2]
 
     def test_links_are_flag(self, balls):
         for name in ("single_inf", "z_squared", "mixed", "pentagon", "inf_dihedral"):
             b = balls[name]
             for v in b.interior_vertices:
-                assert is_flag(vertex_link(b, v).complex)
+                assert is_flag(vertex_link(b, v)[0])
 
     def test_link_models(self, balls):
         for name in ("single_inf", "z_squared", "mixed", "pentagon", "free2"):

@@ -20,7 +20,7 @@ from gpcubes.morse import (
     sublevel_eulers,
 )
 
-from conftest import maximal_faces
+from conftest import join, maximal_faces
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ class TestDescendingLink:
         gp = b.gp
         up, down = descending_link(b, b.vertex({gp.generator("u")}))
         assert len(up.vertices) == 1 and not down.vertices
-        assert sorted(map(len, maximal_faces(up.join(down)))) == [1]
+        assert sorted(map(len, maximal_faces(join(up, down)))) == [1]
 
 
 class TestDescentChecks:
