@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -53,6 +54,23 @@ def _load_graph(path):
         reason = getattr(err, "strerror", None) or err
         raise GraphParseError("cannot read %s: %s" % (path, reason)) from err
     return parse_graph(text)
+
+
+def _word_arg(text):
+    """A word from the command line, read as UTF-8 like the graph file.
+
+    Python decodes argv in the locale's encoding and keeps the bytes it
+    cannot decode as surrogates, so os.fsencode gives back the bytes as
+    typed.  Text the locale cannot encode did not come from argv (main was
+    called with it), and is taken as it is."""
+    try:
+        raw = os.fsencode(text)
+    except UnicodeEncodeError:
+        return text
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise UnknownGeneratorError("the word %r is not UTF-8: %s" % (text, err)) from None
 
 
 def _graph_digest(graph):
@@ -156,7 +174,8 @@ def make_parser():
 def _cmd_normalize(args):
     graph = _load_graph(args.graph)
     gp = GraphProduct(graph)
-    nf = gp.normalize(parse_word(graph, args.word))
+    word = _word_arg(args.word)
+    nf = gp.normalize(parse_word(graph, word))
     rendered = (
         ", ".join(s if e == 1 else "%s^%d" % (s, e) for s, e in nf.letters)
         if nf.letters
@@ -166,7 +185,7 @@ def _cmd_normalize(args):
         _emit_json(
             _certificate(
                 graph,
-                {"word": args.word, "normal_form": rendered, "length": nf.length},
+                {"word": word, "normal_form": rendered, "length": nf.length},
             ),
             args.out,
         )
@@ -178,8 +197,8 @@ def _cmd_normalize(args):
 def _cmd_equal(args):
     graph = _load_graph(args.graph)
     gp = GraphProduct(graph)
-    w1 = parse_word(graph, args.word1)
-    w2 = parse_word(graph, args.word2)
+    w1 = parse_word(graph, _word_arg(args.word1))
+    w2 = parse_word(graph, _word_arg(args.word2))
     if args.oracle:
         same = gp.oracle_equal(w1, w2, budget=args.budget_words)
     else:

@@ -239,7 +239,8 @@ class CubeBall:
     * an id per element, in (length, lex) order, so that no id depends on
       the hash seed and a coset's rep has the least id of its members;
     * a right table: id -> the ids of x*h for every non-identity hat power
-      h, -1 where x*h leaves the ball, each entry one gp.multiply;
+      h, -1 where x*h leaves the ball, each entry one gp.times (one
+      letter, no normalize);
     * each vertex's element ids as a bitmask.
     Interval inclusion is a mask test; edge_hat (added_hat) and stabilizer
     read the table.  One link read (vertex_link) serves both the link-model
@@ -390,8 +391,10 @@ class CubeBall:
         """Id of x -> the ids of x*h for the non-identity hat powers h, by
         _columns, with -1 where x*h leaves the ball."""
         gp, ids = self.gp, self._ids
-        powers = [h for hat in self.delta.vertices for h in gp.hat_subsets[hat][1:]]
-        return [[ids.get(gp.multiply(x, h), -1) for h in powers] for x in self._elements]
+        powers = [
+            h.letters[0] for hat in self.delta.vertices for h in gp.hat_subsets[hat][1:]
+        ]
+        return [[ids.get(gp.times(x, s, e), -1) for s, e in powers] for x in self._elements]
 
     @functools.cached_property
     def _masks(self):

@@ -84,39 +84,46 @@ class DJPair:
 
     def beta(self, g):
         """Embedding of the original group: finite s -> s, infinite
-        s -> s+ s0."""
-        out = []
+        s -> s+ s0.  The image is built from the identity one ambient
+        letter at a time."""
+        times = self.gp_ambient.times
+        x = self.gp_ambient.identity
         for s, e in g.letters:
             if self.graph.is_finite(s):
-                out.append((s, e))
-            elif e > 0:
-                out.extend(((_plus(s), 1), (_zero(s), 1)) * e)
-            else:
-                out.extend(((_zero(s), 1), (_plus(s), 1)) * (-e))
-        return self.gp_ambient.normalize(tuple(out))
+                x = times(x, s, e)
+                continue
+            first, second = (_plus(s), _zero(s)) if e > 0 else (_zero(s), _plus(s))
+            for _ in range(abs(e)):
+                x = times(times(x, first, 1), second, 1)
+        return x
 
     def alpha(self, g):
         """Embedding of the doubled-graph group: finite s -> s, s+ -> s+,
-        s- -> s0 s+ s0."""
-        out = []
+        s- -> s0 s+ s0, built one ambient letter at a time as in beta."""
+        times = self.gp_ambient.times
+        x = self.gp_ambient.identity
         for hat, e in g.letters:
             base, sign = hat_base(self.graph, hat)
             if self.graph.is_finite(base):
-                out.append((base, e))
+                x = times(x, base, e)
             elif sign > 0:
-                out.append((_plus(base), 1))
+                x = times(x, _plus(base), 1)
             else:
-                out.extend(((_zero(base), 1), (_plus(base), 1), (_zero(base), 1)))
-        return self.gp_ambient.normalize(tuple(out))
+                x = times(times(times(x, _zero(base), 1), _plus(base), 1), _zero(base), 1)
+        return x
 
     # -- the subgroup E ----------------------------------------------------------
 
     def e_hat(self, e):
-        """The element of E attached to a set of infinite generators (the
-        s0 letters commute, so the product needs no ordering)."""
-        return self.gp_ambient.normalize(
-            tuple((_zero(s), 1) for s in sorted(e))
-        )
+        """The element of E attached to a set of infinite generators."""
+        return self.times_e(self.gp_ambient.identity, e)
+
+    def times_e(self, x, e):
+        """x * e_hat(e), one s0 letter at a time (the s0 letters commute,
+        so the product needs no ordering)."""
+        for s in e:
+            x = self.gp_ambient.times(x, _zero(s), 1)
+        return x
 
     # -- factorization -----------------------------------------------------------
 
@@ -138,7 +145,7 @@ class DJPair:
                 e ^= {x[:-1]}
         a = self.gp.normalize(tuple(out))
         e = frozenset(e)
-        if self.gp_ambient.multiply(self.beta(a), self.e_elements[e]) != g:
+        if self.times_e(self.beta(a), e) != g:
             raise SoundnessError("factorization failed for %s" % g)
         return a, e
 
@@ -159,7 +166,7 @@ class DJPair:
                 e ^= {x[:-1]}
         a = self.gp_doubled.normalize(tuple(out))
         e = frozenset(e)
-        if self.gp_ambient.multiply(self.alpha(a), self.e_elements[e]) != g:
+        if self.times_e(self.alpha(a), e) != g:
             raise SoundnessError("factorization failed for %s" % g)
         return a, e
 
@@ -168,10 +175,13 @@ class DJPair:
 
 
 def _saturate(pair, elements):
-    """Multiply a set of ambient elements by all of E on the right."""
-    gp2 = pair.gp_ambient
-    es = pair.e_elements.values()
-    return frozenset(gp2.multiply(x, e) for x in elements for e in es)
+    """Multiply a set of ambient elements by all of E on the right, one s0
+    letter at a time."""
+    times = pair.gp_ambient.times
+    out = set(elements)
+    for s in pair.graph.infinite_vertices:
+        out |= {times(x, _zero(s), 1) for x in out}
+    return frozenset(out)
 
 
 def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
@@ -196,18 +206,22 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     reached and C a clique, is kept iff every element of the coset g<<C>>
     is short; the coset is read off the search's moves (<<C>> is a group of
     commuting hat subsets) and saturated with the cached orbits.
+
+    Every move is one ambient letter, and every orbit member one s0 letter
+    more, so the search forms its products with GraphProduct.times and
+    normalizes no ambient word; factorize's residual check is built the
+    same way.
     """
     gp2 = pair.gp_ambient
-    es = pair.e_elements.items()
-    moves = []  # (hat, product) for every non-identity element of a hat subset
+    moves = []  # (hat, s, e) for the letter s^e of each non-identity hat power
     for hat in gp2.hat_generators:
-        moves.extend((hat, h) for h in gp2.hat_subsets[hat][1:])
+        moves.extend((hat, *h.letters[0]) for h in gp2.hat_subsets[hat][1:])
     part = {}  # element -> length of its original-group part
     orbit = {}  # element -> its E-orbit
 
     def factor(x):
         a, _ = pair.factorize(x)
-        members = frozenset(x if not e else gp2.multiply(x, ehat) for e, ehat in es)
+        members = _saturate(pair, (x,))
         for y in members:
             part[y] = a.length
             orbit[y] = members
@@ -221,8 +235,8 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     while len(right) < len(reached):
         x = reached[len(right)]
         row = []
-        for _, h in moves:
-            y = gp2.multiply(x, h)
+        for _, s, e in moves:
+            y = gp2.times(x, s, e)
             if y not in part:
                 factor(y)
             if part[y] > radius:
@@ -248,7 +262,7 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     out = set()
     for c in plus_cliques:
         # the columns of right that hold the moves of each hat of C
-        columns = [[k for k, (hat, _) in enumerate(moves) if hat == h] for h in c]
+        columns = [[k for k, move in enumerate(moves) if move[0] == h] for h in c]
         done = set()  # elements of a coset of <<C>> already formed
         for g in reached:
             if g in done:

@@ -229,16 +229,18 @@ class NormalForm:
     The length counts |exponent| for infinite-order letters and 1 for each
     finite-order letter.  Construct these through GraphProduct.normalize and
     friends; equality and hashing look at the letters only.  Instances are
-    immutable by convention, as CosetVertex is: nothing assigns to them
-    after __init__, since they are keys of every set and dict of the ball.
+    immutable by convention, as CosetVertex is: after __init__ only the hash
+    slot is filled, on first use, since they are keys of every set and dict
+    of the ball.
     """
 
-    __slots__ = ("letters", "length", "graph")
+    __slots__ = ("letters", "length", "graph", "_hash")
 
     def __init__(self, letters, length, graph):
         self.letters = letters
         self.length = length
         self.graph = graph
+        self._hash = None
 
     def __eq__(self, other):
         if not isinstance(other, NormalForm):
@@ -248,7 +250,9 @@ class NormalForm:
     def __hash__(self):
         # CPython hashes -1 like -2, so a^-1 and a^-2 would collide and
         # cancel in the hash of a coset holding both; doubled exponents differ
-        return hash(tuple([(s, e + e) for s, e in self.letters]))
+        if self._hash is None:
+            self._hash = hash(tuple([(s, e + e) for s, e in self.letters]))
+        return self._hash
 
     def __repr__(self):
         return "NormalForm(letters=%r, length=%r)" % (self.letters, self.length)
@@ -441,6 +445,53 @@ class GraphProduct:
         self._check_presentation(a)
         self._check_presentation(b)
         return self.normalize(a.letters + b.letters)
+
+    def times(self, x, s, e):
+        """The normal form of x * s^e, for a normal form x and one letter,
+        without normalize.
+
+        One scan goes back from the end of x past the letters that commute
+        with s.  If it meets a letter of s, the exponents add, and the
+        letter goes when they cancel: no letter of s commutes with another,
+        and the letters passed commute with s, so the result is reduced and
+        still free of the factors b u a (a < b, a commuting with b and u)
+        that the Anisimov-Knuth test of enumerate_ball forbids.  Otherwise
+        s^e goes into the commuting tail, before its first letter of larger
+        graph index: no such factor then starts or ends at s.  The length
+        is updated on the same pass.
+        """
+        self._check_presentation(x)
+        try:
+            c = self.graph.orders[s]
+        except KeyError:
+            raise UnknownGeneratorError("unknown generator %r" % s) from None
+        if c is not None:
+            e %= c
+        if not e:
+            return x
+        letters = x.letters
+        bits = self._bits
+        conflicts = self._conflicts[s]
+        index = self.graph.index
+        rank = index[s]
+        place = len(letters)
+        for i in range(len(letters) - 1, -1, -1):
+            t, f = letters[i]
+            if t == s:
+                merged = f + e if c is None else (f + e) % c
+                if merged:
+                    out = letters[:i] + ((s, merged),) + letters[i + 1 :]
+                    length = x.length + (abs(merged) - abs(f) if c is None else 0)
+                else:
+                    out = letters[:i] + letters[i + 1 :]
+                    length = x.length - (abs(f) if c is None else 1)
+                return NormalForm(out, length, self.graph)
+            if conflicts & bits[t]:
+                break
+            if index[t] > rank:
+                place = i
+        out = letters[:place] + ((s, e),) + letters[place:]
+        return NormalForm(out, x.length + (abs(e) if c is None else 1), self.graph)
 
     def invert(self, a):
         self._check_presentation(a)

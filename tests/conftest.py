@@ -25,14 +25,15 @@ GRAPH_TEXTS = {
 }
 
 
-def fresh_python(code, *flags, env=None):
+def fresh_python(code, *flags, env=None, args=()):
     """Run code in a new interpreter that imports the gpcubes under test,
-    with the variables in env set on top of this process's environment."""
+    with the variables in env set on top of this process's environment and
+    args (str or bytes) as its sys.argv[1:]."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gpcubes.__file__)))
     env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *flags, "-c", code],
+        [sys.executable, *flags, "-c", code, *args],
         env=env,
         capture_output=True,
         text=True,

@@ -281,8 +281,14 @@ class TestNonAsciiNames:
         return str(path)
 
     def run_cli(self, argv, env):
-        code = "import sys; from gpcubes.cli import main; sys.exit(main(%r))" % (argv,)
+        code = "import sys; from gpcubes.cli import main; sys.exit(main(%a))" % (argv,)
         return fresh_python(code, env=env)
+
+    def run_console(self, argv, env):
+        """The CLI with argv as the interpreter decodes it from the command
+        line, not as text handed to main."""
+        code = "import sys; from gpcubes.cli import main; sys.exit(main())"
+        return fresh_python(code, env=env, args=argv)
 
     def test_out_is_written_as_utf8_under_an_ascii_locale(self, greek, tmp_path):
         target = tmp_path / "ball.dot"
@@ -295,6 +301,24 @@ class TestNonAsciiNames:
         proc = self.run_cli(["check", "--graph", greek, "--radius", "2"], self.ASCII_LOCALE)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.isascii() and json.loads(proc.stdout)["graph"] == self.GRAPH
+
+    def test_word_is_read_as_utf8_under_an_ascii_locale(self, greek, tmp_path):
+        target = tmp_path / "word.txt"
+        argv = ["normalize", "--graph", greek, "β, α", "--out", str(target)]
+        proc = self.run_console(argv, self.ASCII_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert target.read_text(encoding="utf-8") == "α, β\nlength 2\n"
+        argv = ["equal", "--graph", greek, "β, α", "α, β", "--out", str(target)]
+        assert self.run_console(argv, self.ASCII_LOCALE).returncode == 0
+        # text handed to main, which that locale cannot encode, is taken as is
+        assert self.run_cli(argv, self.ASCII_LOCALE).returncode == 0
+
+    @pytest.mark.parametrize("locale", ["ascii", "utf8"])
+    def test_word_that_is_not_utf8_exits_two(self, greek, locale):
+        env = self.ASCII_LOCALE if locale == "ascii" else {"PYTHONUTF8": "1"}
+        proc = self.run_console(["normalize", "--graph", greek, b"\xce, \xb1"], env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "not UTF-8" in proc.stderr
 
     def test_stdout_that_cannot_encode_exits_two(self, greek):
         proc = self.run_cli(["normalize", "--graph", greek, "β, α"], {"PYTHONIOENCODING": "ascii"})

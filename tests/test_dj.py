@@ -369,7 +369,12 @@ class TestIsoCheck:
 
     @pytest.mark.parametrize("radius", [1, 2])
     def test_y_ball_matches_the_unpruned_scan(self, pairs, radius):
-        for name, p in pairs.items():
+        cases = dict(pairs)
+        if radius == 1:
+            # three infinite generators; at r=2 the scan's ambient ball of
+            # radius 7 is too costly
+            cases["free3"] = DJPair(parse_graph("a:inf\nb:inf\nc:inf\n"))
+        for name, p in cases.items():
             assert build_y_ball(p, radius) == unpruned_y_ball(p, radius), name
 
     @pytest.mark.parametrize("radius", [1, 2])
@@ -436,6 +441,33 @@ class TestCommonComplexSearch:
         expected = build_y_ball(pairs["mixed"], 2)
         monkeypatch.setattr(GraphProduct, "enumerate_ball", refuse)
         assert build_y_ball(pairs["mixed"], 2) == expected
+
+    def test_no_ambient_word_is_normalized(self, pairs, monkeypatch):
+        # the search, its E-orbits, the residual checks and the images form
+        # one-letter products; factorize normalizes its original-group part
+        # once per call
+        p = pairs["mixed"]
+        ball = build_ball(p.graph, 2)
+        ball_doubled = build_ball(p.doubled, 2)
+        calls = {p.gp: 0, p.gp_doubled: 0, p.gp_ambient: 0}
+        factorized = []
+        normalize, factorize = GraphProduct.normalize, DJPair.factorize
+
+        def counting_normalize(self, word):
+            calls[self] += 1
+            return normalize(self, word)
+
+        def counting_factorize(self, g):
+            factorized.append(g)
+            return factorize(self, g)
+
+        monkeypatch.setattr(GraphProduct, "normalize", counting_normalize)
+        monkeypatch.setattr(DJPair, "factorize", counting_factorize)
+        build_y_ball(p, 2)
+        _images(p, ball.vertices, p.beta)
+        _images(p, ball_doubled.vertices, p.alpha)
+        assert calls == {p.gp: len(factorized), p.gp_doubled: 0, p.gp_ambient: 0}
+        assert factorized
 
     def test_factorize_calls_do_not_follow_the_hash_seed(self, monkeypatch):
         code = textwrap.dedent(

@@ -277,6 +277,61 @@ class TestGroupOps:
         assert gp.multiply(gp.normalize(w1), gp.normalize(w2)) == gp.normalize(w1 + w2)
 
 
+def check_times(gp, radius):
+    """GraphProduct.times against the normalize of the word with the letter
+    appended, by letters, length and hash: every non-identity hat power
+    (against multiply too), and every exponent from -c to c (-2 to 2 for an
+    infinite generator), on every element of the radius-r ball."""
+    powers = [h for subset in gp.hat_subsets.values() for h in subset[1:]]
+    letters = [
+        (s, e) for s, c in gp.graph.orders.items() for e in range(-(c or 2), (c or 2) + 1)
+    ]
+
+    def seen(nf):
+        return nf.letters, nf.length, hash(nf)
+
+    for x in gp.enumerate_ball(radius):
+        for h in powers:
+            assert seen(gp.times(x, *h.letters[0])) == seen(gp.multiply(x, h)), (x, h)
+        for s, e in letters:
+            want = gp.normalize(x.letters + ((s, e),))
+            assert seen(gp.times(x, s, e)) == seen(want), (x, s, e)
+
+
+class TestTimes:
+    def test_matches_normalize_on_the_fixture_balls(self, products):
+        for gp in products.values():
+            check_times(gp, 3)
+
+    @given(labelled_graphs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_matches_normalize_on_random_graphs(self, graph):
+        check_times(GraphProduct(graph), 2)
+
+    def test_cases(self, products):
+        gp = products["mixed"]  # a:inf u:3, commuting
+        a, u = gp.generator("a"), gp.generator("u")
+        # inserted before the commuting tail's first letter of larger index
+        assert gp.times(u, "a", -2).letters == (("a", -2), ("u", 1))
+        # a merge that folds, and one that cancels
+        assert gp.times(gp.generator("u", 2), "u", 2) == u
+        assert gp.times(gp.times(a, "u", 1), "a", -1) == u
+        assert gp.times(gp.times(u, "a", 1), "a", 2).length == 4
+        assert gp.times(a, "u", 3) is a
+
+    def test_rejects_foreign_letters_and_forms(self, products):
+        gp = products["mixed"]
+        with pytest.raises(UnknownGeneratorError):
+            gp.times(gp.identity, "b", 1)
+        with pytest.raises(PresentationMismatchError):
+            gp.times(products["free2"].generator("a"), "a", 1)
+
+    def test_hash_is_filled_once(self, products):
+        x = products["free2"].normalize((("a", -1), ("b", 2)))
+        assert x._hash is None
+        assert hash(x) == hash((("a", -2), ("b", 4))) == x._hash
+
+
 class TestEqual:
     def test_conjugate_commuting(self, products):
         gp = products["z_squared"]
