@@ -285,7 +285,8 @@ class CubeBall:
             )
         }
 
-        seen = set()
+        # no cube is made twice: a bottom's clique is sub, and sub shares no
+        # base generator with rest, so distinct h give distinct bottoms
         cubes = []
         for top in self.vertices:
             top_clique = sorted(top.clique, key=hat_index.__getitem__)
@@ -296,10 +297,7 @@ class CubeBall:
                         bottom = self._by_elements[
                             coset_elements(gp, gp.multiply(top.rep, h), frozenset(sub))
                         ]
-                        key = (bottom.elements, top.elements)
-                        if key not in seen:
-                            seen.add(key)
-                            cubes.append(Cube(bottom, top, len(top.clique) - k))
+                        cubes.append(Cube(bottom, top, len(top.clique) - k))
         cubes.sort(
             key=lambda c: (
                 c.dim,

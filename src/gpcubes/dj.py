@@ -18,8 +18,6 @@ this is checked on finite balls.
 
 from __future__ import annotations
 
-import itertools
-
 from .cubes import SoundnessError, build_ball, cliques, hat_graph
 from .groups import (
     DEFAULT_ELEMENT_BUDGET,
@@ -72,13 +70,6 @@ class DJPair:
         self.gp_doubled = GraphProduct(self.doubled)
         self.ambient = ambient_graph(graph)
         self.gp_ambient = GraphProduct(self.ambient)
-        inf = graph.infinite_vertices
-        # all of E, keyed by the subset of infinite generators involved
-        self.e_elements = {
-            frozenset(sub): self.e_hat(frozenset(sub))
-            for k in range(len(inf) + 1)
-            for sub in itertools.combinations(inf, k)
-        }
 
     # -- the embeddings ---------------------------------------------------------
 
@@ -114,13 +105,10 @@ class DJPair:
 
     # -- the subgroup E ----------------------------------------------------------
 
-    def e_hat(self, e):
-        """The element of E attached to a set of infinite generators."""
-        return self.times_e(self.gp_ambient.identity, e)
-
     def times_e(self, x, e):
-        """x * e_hat(e), one s0 letter at a time (the s0 letters commute,
-        so the product needs no ordering)."""
+        """x times the element of E attached to a set e of infinite
+        generators, the product of their s0, one s0 letter at a time (the s0
+        letters commute, so the product needs no ordering)."""
         for s in e:
             x = self.gp_ambient.times(x, _zero(s), 1)
         return x
@@ -128,9 +116,10 @@ class DJPair:
     # -- factorization -----------------------------------------------------------
 
     def factorize(self, g):
-        """Unique writing g = beta(a) * e_hat(e); raises if the residual
-        check fails (it cannot, for honest inputs).  The letters of a are
-        collected in one pass and normalized once."""
+        """Unique writing g = times_e(beta(a), e), for a set e of infinite
+        generators; raises if the residual check fails (it cannot, for
+        honest inputs).  The letters of a are collected in one pass and
+        normalized once."""
         out = []
         e = set()
         for x, k in g.letters:
@@ -150,7 +139,7 @@ class DJPair:
         return a, e
 
     def factorize_doubled(self, g):
-        """Unique writing g = alpha(a) * e_hat(e) over the doubled graph,
+        """Unique writing g = times_e(alpha(a), e) over the doubled graph,
         with the letters of a normalized once as in factorize."""
         out = []
         e = set()

@@ -17,9 +17,11 @@ A word none of these can shorten is reduced.  We refine "reduced" to a
 canonical normal form: exponents of finite-order generators are folded into
 {1, ..., c-1} and, among all reduced words of the element, the
 lexicographically least one (letters ordered by vertex position, then
-exponent) is chosen.  Equality of elements is then syntactic equality of
-normal forms; a slow rewriting-closure oracle is provided to keep the fast
-path honest.
+exponent) is chosen.  One primitive, GraphProduct.times, decides where a
+letter goes in a normal form; normalize, the group operations and
+enumerate_ball are all built on it.  Equality of elements is then syntactic
+equality of normal forms; a slow rewriting-closure oracle is provided to
+keep the fast path honest.
 """
 
 from __future__ import annotations
@@ -303,11 +305,8 @@ class GraphProduct:
         self._identity = NormalForm((), 0, graph)
         # a letter of s cannot move past a letter of any generator in
         # _conflicts[s]: the non-neighbours of s and s itself
-        self._all_bits = (1 << len(graph.vertices)) - 1
-        self._bits = {s: 1 << i for s, i in graph.index.items()}
         self._conflicts = {
-            s: self._all_bits & ~sum(self._bits[t] for t in graph.neighbors(s))
-            for s in graph.vertices
+            s: frozenset(graph.vertices) - graph.neighbors(s) for s in graph.vertices
         }
         # for every hat letter h: the standard subset <<h>> (the whole cyclic
         # group for a finite generator, {1, s^sign} for an infinite one,
@@ -339,10 +338,6 @@ class GraphProduct:
         c = self.graph.orders[s]
         return e if c is None else e % c
 
-    def word_length(self, letters):
-        g = self.graph
-        return sum(abs(e) if g.orders[s] is None else 1 for s, e in letters)
-
     def _letter_key(self, letter):
         return (self.graph.index[letter[0]], letter[1])
 
@@ -350,90 +345,25 @@ class GraphProduct:
         """(length, lex) key; total order on normal forms."""
         return (nf.length, tuple(self._letter_key(l) for l in nf.letters))
 
-    # -- reduction and normal forms -----------------------------------------
-
-    def reduce_word(self, letters):
-        """One left-to-right stacking pass; returns a reduced word.
-
-        Each incoming letter is folded (finite orders) and then merged with
-        the rightmost same-generator letter it can reach across commuting
-        letters; a merge to exponent 0 deletes the letter.
-        """
-        self._check_letters(letters)
-        bits = self._bits
-        out = []
-        for s, e in letters:
-            e = self._fold(s, e)
-            if e == 0:
-                continue
-            conflicts = self._conflicts[s]
-            target = None
-            for i in range(len(out) - 1, -1, -1):
-                t = out[i][0]
-                if t == s:
-                    target = i
-                    break
-                if conflicts & bits[t]:
-                    break
-            if target is None:
-                out.append((s, e))
-            else:
-                merged = self._fold(s, out[target][1] + e)
-                if merged == 0:
-                    del out[target]
-                else:
-                    out[target] = (s, merged)
-        return tuple(out)
-
-    def _lex_least_shuffle(self, letters):
-        """Lex-least word reachable from `letters` by swapping commuting
-        neighbours: repeatedly pull to the front the least letter whose
-        whole prefix commutes with it.
-
-        One scan per output letter carries the union of the prefix's
-        conflict masks, so a letter is movable iff its own bit is clear.  A
-        generator is in its own mask, so an earlier letter of the same
-        generator blocks it as well; movable letters thus have distinct
-        generators and their keys never tie.  The scan stops once every
-        generator is blocked.  O(n^2), canonical on the commutation class.
-        """
-        bits = self._bits
-        conflicts = self._conflicts
-        everything = self._all_bits
-        index = self.graph.index
-        pending = list(letters)
-        out = []
-        while pending:
-            blocked = 0
-            best = best_key = None
-            for i, (s, e) in enumerate(pending):
-                if not blocked & bits[s]:
-                    key = (index[s], e)
-                    if best is None or key < best_key:
-                        best, best_key = i, key
-                blocked |= conflicts[s]
-                if blocked == everything:
-                    break
-            out.append(pending.pop(best))
-        return tuple(out)
+    # -- normal forms --------------------------------------------------------
 
     def normalize(self, word):
-        """Canonical normal form of a word (tuple of letters or NormalForm)."""
+        """Canonical normal form of a word (tuple of letters or NormalForm):
+        its letters folded one at a time into the identity by times."""
         if isinstance(word, NormalForm):
             self._check_presentation(word)
-            letters = word.letters
-        else:
-            letters = tuple(word)
-        reduced = self.reduce_word(letters)
-        canonical = self._lex_least_shuffle(reduced)
-        return NormalForm(canonical, self.word_length(canonical), self.graph)
+            word = word.letters
+        x = self._identity
+        for s, e in word:
+            x = self.times(x, s, e)
+        return x
 
     @property
     def identity(self):
         return self._identity
 
     def generator(self, s, e=1):
-        return self.normalize(((s, e),))
+        return self.times(self._identity, s, e)
 
     def _check_presentation(self, nf):
         if nf.graph is not self.graph and nf.graph != self.graph:
@@ -447,18 +377,19 @@ class GraphProduct:
         return self.normalize(a.letters + b.letters)
 
     def times(self, x, s, e):
-        """The normal form of x * s^e, for a normal form x and one letter,
-        without normalize.
+        """The normal form of x * s^e, for a normal form x and one letter:
+        the one place where a letter's position is decided.
 
-        One scan goes back from the end of x past the letters that commute
+        A reduced word is lex-least in its commutation class iff it has no
+        factor b u a with a < b, where a commutes with b and with every
+        letter of u (Anisimov-Knuth, "Inhomogeneous sorting", 1979).  One
+        scan goes back from the end of x past the letters that commute
         with s.  If it meets a letter of s, the exponents add, and the
         letter goes when they cancel: no letter of s commutes with another,
         and the letters passed commute with s, so the result is reduced and
-        still free of the factors b u a (a < b, a commuting with b and u)
-        that the Anisimov-Knuth test of enumerate_ball forbids.  Otherwise
-        s^e goes into the commuting tail, before its first letter of larger
-        graph index: no such factor then starts or ends at s.  The length
-        is updated on the same pass.
+        still free of such factors.  Otherwise s^e goes into the commuting
+        tail, before its first letter of larger graph index: no such factor
+        then starts or ends at s.  The length is updated on the same pass.
         """
         self._check_presentation(x)
         try:
@@ -470,7 +401,6 @@ class GraphProduct:
         if not e:
             return x
         letters = x.letters
-        bits = self._bits
         conflicts = self._conflicts[s]
         index = self.graph.index
         rank = index[s]
@@ -486,7 +416,7 @@ class GraphProduct:
                     out = letters[:i] + letters[i + 1 :]
                     length = x.length - (abs(f) if c is None else 1)
                 return NormalForm(out, length, self.graph)
-            if conflicts & bits[t]:
+            if t in conflicts:
                 break
             if index[t] > rank:
                 place = i
@@ -533,70 +463,44 @@ class GraphProduct:
     def enumerate_ball(self, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         """All elements of length <= radius, as canonical normal forms.
 
-        No products are formed: each normal form is built from the one
-        before its last letter.  A reduced word is lex-least in its
-        commutation class iff it has no factor b u a with a < b, where a
-        commutes with b and with every letter of u (Anisimov-Knuth,
-        "Inhomogeneous sorting", 1979).  So a normal form w followed by a
-        letter of s is again one iff a scan back from the end of w meets
-        neither a letter of s (the two would merge) nor a commuting letter
-        of larger graph index (s would sort before it) before the first
-        letter conflicting with s.  The exponent of s ranges over 1..c-1
-        for a finite order c, and over +-1..+-(radius - |w|) for an
-        infinite one.  Every prefix of a normal form is one, so each element
-        is built exactly once.  Raises BudgetExceededError as soon as the
-        count passes max_elements.
+        Each normal form is built from the one before its last letter: w s^e
+        is a new normal form iff times(w, s, 1) puts s last, that is, s
+        neither merges with a letter of w nor sorts before one (the test
+        does not depend on e).  The exponent of s ranges over 1..c-1 for a
+        finite order c, and over +-1..+-(radius - |w|) for an infinite one,
+        made one at a time so that the budget bounds the memory too.  Every
+        prefix of a normal form is one, so each element is built exactly
+        once.  Raises BudgetExceededError as soon as the count passes
+        max_elements.
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        graph = self.graph
-        bits = self._bits
-        # one scan back from the end of w decides every s at once: a letter
-        # of t lets the other generators it conflicts with follow, and passes
-        # the scan on for its neighbours of larger index; t itself (it would
-        # merge) and its smaller neighbours (they would sort before it) may
-        # not follow
-        ends = {t: self._conflicts[t] & ~bits[t] for t in graph.vertices}
-        passes = {
-            t: sum(bits[s] for s in graph.neighbors(t) if graph.index[s] > graph.index[t])
-            for t in graph.vertices
-        }
-        # the letters of each generator with their lengths, shortest first
-        letters = {
-            s: [(e, 1) for e in range(1, c)]
-            if c is not None
-            else [(sign * k, k) for k in range(1, radius + 1) for sign in (1, -1)]
-            for s, c in graph.orders.items()
-        }
-        by_length = [[] for _ in range(radius + 1)]
-        by_length[0].append(self._identity)
+        times = self.times
+        levels = [[self._identity]]  # by length; grows while it is read
         count = 1
-        for n, level in enumerate(by_length):
+        for n, level in enumerate(levels):
             room = radius - n
+            if not room:
+                break
             for w in level:
-                pending = self._all_bits
-                may_follow = 0
-                for t, _ in reversed(w.letters):
-                    may_follow |= pending & ends[t]
-                    pending &= passes[t]
-                    if not pending:
-                        break
-                may_follow |= pending
-                for s in graph.vertices:
-                    if not may_follow & bits[s]:
+                for s, c in self.graph.orders.items():
+                    if times(w, s, 1).letters[-1:] != ((s, 1),):
                         continue
-                    for e, k in letters[s]:
-                        if k > room:
-                            break
-                        by_length[n + k].append(
-                            NormalForm(w.letters + ((s, e),), n + k, graph)
-                        )
+                    if c is None:
+                        exponents = (sign * k for k in range(1, room + 1) for sign in (1, -1))
+                    else:
+                        exponents = range(1, c)
+                    for e in exponents:
+                        x = times(w, s, e)
+                        while len(levels) <= x.length:
+                            levels.append([])
+                        levels[x.length].append(x)
                         count += 1
                         if count > max_elements:
                             raise BudgetExceededError(
                                 "ball of radius %d exceeds %d elements" % (radius, max_elements)
                             )
-        return frozenset(w for level in by_length for w in level)
+        return frozenset(w for level in levels for w in level)
 
     # -- the ground-truth oracle ----------------------------------------------
 

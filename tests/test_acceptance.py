@@ -16,6 +16,7 @@ from gpcubes.morse import height, morse_report, sublevel_euler
 from gpcubes.special import base_label, check_free_kernel_action, check_special
 
 from conftest import GRAPH_TEXTS
+from test_dj import e_elements
 from test_groups import all_words, reduced_words
 
 
@@ -133,7 +134,7 @@ def test_commensurability_algebra(graphs):
         for g in gp2.enumerate_ball(3):
             a, e = pair.factorize(g)
             fibers.setdefault(a, set()).add(e)
-        n_e = len(pair.e_elements)
+        n_e = len(e_elements(pair))
         ok = ok and all(len(es) <= n_e for es in fibers.values())
         ok = ok and len(fibers[gp.identity]) == n_e
         # the two embeddings saturate the standard subsets identically

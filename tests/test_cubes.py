@@ -294,6 +294,12 @@ class TestCubeBall:
         b = balls[name]
         assert (len(b.vertices), len(b.edges), len(b.squares)) == counts
 
+    def test_cubes_are_made_once(self, balls):
+        # each (top, sub, h) of the build gives its own (bottom, top) pair
+        for b in balls.values():
+            pairs = [(c.bottom, c.top) for c in b.cubes]
+            assert len(set(pairs)) == len(pairs)
+
     def test_hashes_are_distinct(self):
         # CPython hashes -1 like -2: hashing the raw letters made a^-1 and
         # a^-2 collide, and their hashes cancel in that of the vertex
