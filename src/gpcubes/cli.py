@@ -27,11 +27,9 @@ from .cubes import (
     ball_to_dot,
     ball_to_json,
     check_link_models,
-    cliques,
     fundamental_domain_check,
-    hat_graph,
 )
-from .dj import ambient_graph, iso_check
+from .dj import ambient_graph, dimensions, iso_check
 from .groups import (
     BudgetExceededError,
     DEFAULT_ELEMENT_BUDGET,
@@ -249,19 +247,10 @@ def _cmd_check(args):
 
 def _cmd_dj_graphs(args):
     graph = _load_graph(args.graph)
-    doubled = hat_graph(graph)
-    ambient = ambient_graph(graph)
-    # the original and the doubled complex are both built over the doubled
-    # graph, so their cube dimensions agree; the ambient one usually differs
-    dimension = max(map(len, cliques(doubled)))
     payload = {
-        "doubled_graph": doubled.to_text(),
-        "ambient_graph": ambient.to_text(),
-        "dimensions": {
-            "original": dimension,
-            "doubled": dimension,
-            "ambient": max(map(len, cliques(hat_graph(ambient)))),
-        },
+        "doubled_graph": GraphProduct(graph).doubled.to_text(),
+        "ambient_graph": ambient_graph(graph).to_text(),
+        "dimensions": dimensions(graph),
     }
     ok = True
     if args.radius is not None:

@@ -18,13 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .groups import (
-    DEFAULT_ELEMENT_BUDGET,
-    GraphProduct,
-    LabeledGraph,
-    hat_base,
-    hat_names,
-)
+from .groups import DEFAULT_ELEMENT_BUDGET, GraphProduct
 
 
 class NotInteriorError(ValueError):
@@ -38,28 +32,16 @@ class SoundnessError(AssertionError):
     under python -O."""
 
 
-def hat_graph(graph):
-    """The doubled graph: edges pulled back from the base graph, with the two
-    signed copies of an infinite generator never adjacent.  Vertex labels
-    record the size of the standard subset."""
-    names = hat_names(graph)
-    orders = {name: graph.orders.get(name, 2) for name in names}
-    edges = []
-    for a, b in itertools.combinations(names, 2):
-        sa, _ = hat_base(graph, a)
-        sb, _ = hat_base(graph, b)
-        if sa != sb and graph.adjacent(sa, sb):
-            edges.append((a, b))
-    return LabeledGraph(names, orders, edges)
-
-
-def _all_cliques(vertices, adjacent):
-    """Every clique of a finite graph, the empty one included: the
-    all-cliques form of Bron-Kerbosch (CACM 1973)."""
+def _all_cliques(vertices, adjacent, most=None):
+    """Every clique of a finite graph with at most `most` vertices (no
+    limit when None), the empty one included: the all-cliques form of
+    Bron-Kerbosch (CACM 1973)."""
     out = []
 
     def extend(clique, candidates):
         out.append(frozenset(clique))
+        if len(clique) == most:
+            return
         for i, v in enumerate(candidates):
             extend(clique + [v], [w for w in candidates[i + 1 :] if adjacent(v, w)])
 
@@ -67,9 +49,10 @@ def _all_cliques(vertices, adjacent):
     return out
 
 
-def cliques(graph):
-    """All cliques of a finite graph, the empty one included."""
-    out = _all_cliques(graph.vertices, graph.adjacent)
+def cliques(graph, most=None):
+    """The cliques of a finite graph with at most `most` vertices (all of
+    them when None), the empty one included, by size and then index."""
+    out = _all_cliques(graph.vertices, graph.adjacent, most)
     index = graph.index
     out.sort(key=lambda c: (len(c), sorted(index[v] for v in c)))
     return out
@@ -228,6 +211,13 @@ class CubeBall:
     """All vertices of the complex with coset max length <= radius, with
     every cube among them.  Immutable once built; queries are pure.
 
+    The cliques are those of at most radius + 1 hat letters.  A coset
+    g<<C>> holds an element of length >= |C|, so no vertex of the ball has
+    a larger clique; and a vertex whose clique lies in one of radius + 1
+    letters is already shown not interior by that clique, so the interior
+    vertices, the only ones the link and Morse checks read cliques at,
+    meet no larger clique either.
+
     Every query about what lies next to a vertex reads one incidence: each
     cube's interval, searched for once by inclusion through an element ->
     vertices index, and from it vertex -> the cubes holding it.
@@ -247,15 +237,15 @@ class CubeBall:
     check and the Morse up-link check.  fundamental_domain_check still
     forms products: it is the independent check that every vertex is a
     translate of a base vertex, and must not rest on the table it would
-    vouch for.  The index and the incidence are built on first use, as
-    only the checks need them."""
+    vouch for.  The interior vertices, the index and the incidence are
+    built on first use, as only the checks and the export need them."""
 
     def __init__(self, graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         self.graph = graph
         self.radius = radius
         self.gp = GraphProduct(graph)
-        self.delta = hat_graph(graph)
-        self.cliques = cliques(self.delta)
+        self.delta = self.gp.doubled
+        self.cliques = cliques(self.delta, radius + 1)
         gp = self.gp
 
         elements = gp.enumerate_ball(radius, max_elements=max_elements)
@@ -274,16 +264,6 @@ class CubeBall:
             key=lambda v: (gp.sort_key(v.rep), sorted(hat_index[h] for h in v.clique)),
         )
         self._by_elements = {v.elements: v for v in self.vertices}
-
-        self._interior = {
-            v
-            for v in self.vertices
-            if all(
-                coset_elements(gp, v.rep, c) in self._by_elements
-                for c in self.cliques
-                if v.clique < c
-            )
-        }
 
         # no cube is made twice: a bottom's clique is sub, and sub shares no
         # base generator with rest, so distinct h give distinct bottoms
@@ -360,6 +340,20 @@ class CubeBall:
         cube must be one of ball.cubes: any other raises KeyError.
         """
         return list(self._intervals[cube])
+
+    @functools.cached_property
+    def _interior(self):
+        """The vertices all of whose cofaces lie in the ball."""
+        gp, by_elements = self.gp, self._by_elements
+        return {
+            v
+            for v in self.vertices
+            if all(
+                coset_elements(gp, v.rep, c) in by_elements
+                for c in self.cliques
+                if v.clique < c
+            )
+        }
 
     # -- the index -------------------------------------------------------------
 

@@ -18,14 +18,8 @@ this is checked on finite balls.
 
 from __future__ import annotations
 
-from .cubes import SoundnessError, build_ball, cliques, hat_graph
-from .groups import (
-    DEFAULT_ELEMENT_BUDGET,
-    BudgetExceededError,
-    GraphProduct,
-    LabeledGraph,
-    hat_base,
-)
+from .cubes import SoundnessError, build_ball, cliques
+from .groups import DEFAULT_ELEMENT_BUDGET, BudgetExceededError, GraphProduct, LabeledGraph
 
 
 def _plus(s):
@@ -60,13 +54,44 @@ def ambient_graph(graph):
     return LabeledGraph(names, orders, set(map(frozenset, edges)))
 
 
+def dimensions(graph):
+    """The largest cube dimension of the original, doubled and ambient
+    complexes: the most letters in one clique of each one's doubled graph,
+    read off the cliques of the graph alone.
+
+    A clique of the doubled graph takes one hat letter of each generator of
+    a clique of the graph, so the first two are the largest clique.  The
+    ambient graph is its own doubled graph; its cliques are Z + Q', for Q'
+    the image of a clique Q of the graph and Z a set of s0 letters with s0
+    not in Z when s+ is in Q', as s0 commutes with all but s+.  The largest
+    takes every s0 but those of Q's infinite generators, so it has #inf
+    letters plus one per finite generator of Q.
+    """
+    cs = cliques(graph)
+    most = max(map(len, cs))
+    finite = max(sum(map(graph.is_finite, c)) for c in cs)
+    return {
+        "original": most,
+        "doubled": most,
+        "ambient": len(graph.infinite_vertices) + finite,
+    }
+
+
+def plus_cliques(pair):
+    """One clique of the doubled graph per clique of the graph, each
+    infinite s read as s+: in build_y_ball the E factor washes the signs
+    out, so no other sign pattern is needed."""
+    hats = pair.gp.base_hats
+    return [frozenset(hats[s][0] for s in c) for c in cliques(pair.graph)]
+
+
 class DJPair:
     """The ambient group with its two embedded companions and the subgroup E."""
 
     def __init__(self, graph):
         self.graph = graph
         self.gp = GraphProduct(graph)
-        self.doubled = hat_graph(graph)
+        self.doubled = self.gp.doubled
         self.gp_doubled = GraphProduct(self.doubled)
         self.ambient = ambient_graph(graph)
         self.gp_ambient = GraphProduct(self.ambient)
@@ -94,10 +119,10 @@ class DJPair:
         times = self.gp_ambient.times
         x = self.gp_ambient.identity
         for hat, e in g.letters:
-            base, sign = hat_base(self.graph, hat)
+            base = self.gp.base_of[hat]
             if self.graph.is_finite(base):
                 x = times(x, base, e)
-            elif sign > 0:
+            elif hat == self.gp.base_hats[base][0]:
                 x = times(x, _plus(base), 1)
             else:
                 x = times(times(times(x, _zero(base), 1), _plus(base), 1), _zero(base), 1)
@@ -241,15 +266,8 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
             row.append(y)
         right.append(row)
 
-    # one clique of the doubled graph per sign pattern is enough: the E
-    # factor washes the signs out
-    plus_cliques = [
-        c
-        for c in cliques(pair.doubled)
-        if all(hat_base(pair.graph, hat)[1] > 0 for hat in c)
-    ]
     out = set()
-    for c in plus_cliques:
+    for c in plus_cliques(pair):
         # the columns of right that hold the moves of each hat of C
         columns = [[k for k, move in enumerate(moves) if move[0] == h] for h in c]
         done = set()  # elements of a coset of <<C>> already formed

@@ -267,33 +267,6 @@ class NormalForm:
         return not self.letters
 
 
-# Hat alphabet: one vertex per finite-order generator, a pair of signed
-# vertices per infinite-order generator (s and s^-1 are never adjacent).
-
-def hat_names(graph):
-    """The doubled alphabet, in deterministic order."""
-    names = []
-    for s in graph.vertices:
-        if graph.is_finite(s):
-            names.append(s)
-        else:
-            names.append(s + "+")
-            names.append(s + "-")
-    return tuple(names)
-
-
-def hat_base(graph, name):
-    """Split a hat vertex name into (base generator, sign)."""
-    if name in graph.orders:
-        if not graph.is_finite(name):
-            raise ValueError("infinite generator %r needs a sign tag" % name)
-        return name, 1
-    base, tag = name[:-1], name[-1:]
-    if tag in "+-" and base in graph.orders and not graph.is_finite(base):
-        return base, (1 if tag == "+" else -1)
-    raise ValueError("not a hat vertex of this graph: %r" % name)
-
-
 class GraphProduct:
     """The graph product of cyclic groups presented by a LabeledGraph.
 
@@ -308,24 +281,39 @@ class GraphProduct:
         self._conflicts = {
             s: frozenset(graph.vertices) - graph.neighbors(s) for s in graph.vertices
         }
-        # for every hat letter h: the standard subset <<h>> (the whole cyclic
-        # group for a finite generator, {1, s^sign} for an infinite one,
-        # identity first), the generator h itself and its base generator;
-        # and the hat letters of each generator, s itself when finite, s+
-        # and s- when infinite
+        # the doubled alphabet: one hat letter s per finite generator s, two,
+        # s+ and s-, per infinite one.  For every hat letter h: the standard
+        # subset <<h>> (the whole cyclic group for a finite generator,
+        # {1, s^+-1} for s+ and s-, identity first), the generator h itself
+        # and its base generator; the hat letters of each generator; and the
+        # doubled graph on the hat letters, each of order |<<h>>|, every edge
+        # of the graph joining each hat letter of one end to each of the
+        # other (s+ and s- are never joined)
         self.hat_subsets = {}
         self.hat_generators = {}
         self.base_of = {}
         self.base_hats = {}
-        for hat in hat_names(graph):
-            s, sign = hat_base(graph, hat)
-            self.base_of[hat] = s
-            self.base_hats[s] = self.base_hats.get(s, ()) + (hat,)
+        for s in graph.vertices:
             c = graph.orders[s]
-            powers = (sign,) if c is None else range(1, c)
-            subset = (self._identity,) + tuple(self.generator(s, k) for k in powers)
-            self.hat_subsets[hat] = subset
-            self.hat_generators[hat] = subset[1]
+            if c is None:
+                hats = {s + "+": (self.generator(s, 1),), s + "-": (self.generator(s, -1),)}
+            else:
+                hats = {s: tuple(self.generator(s, k) for k in range(1, c))}
+            self.base_hats[s] = tuple(hats)
+            for hat, powers in hats.items():
+                self.base_of[hat] = s
+                self.hat_subsets[hat] = (self._identity,) + powers
+                self.hat_generators[hat] = powers[0]
+        self.doubled = LabeledGraph(
+            self.hat_subsets,
+            {hat: len(subset) for hat, subset in self.hat_subsets.items()},
+            [
+                (h, k)
+                for a, b in map(tuple, graph.edges)
+                for h in self.base_hats[a]
+                for k in self.base_hats[b]
+            ],
+        )
 
     # -- basic word handling ------------------------------------------------
 
@@ -467,11 +455,13 @@ class GraphProduct:
         is a new normal form iff times(w, s, 1) puts s last, that is, s
         neither merges with a letter of w nor sorts before one (the test
         does not depend on e).  The exponent of s ranges over 1..c-1 for a
-        finite order c, and over +-1..+-(radius - |w|) for an infinite one,
-        made one at a time so that the budget bounds the memory too.  Every
-        prefix of a normal form is one, so each element is built exactly
-        once.  Raises BudgetExceededError as soon as the count passes
-        max_elements.
+        finite order c, and over +-1..+-(radius - |w|) for an infinite one.
+        w s is the tested product itself, w s^-1 is w s times s^-2, and
+        each further power is the one before times s^+-1: one times each,
+        merging into the last letter.  The powers are made one at a time so
+        that the budget bounds the memory too.  Every prefix of a normal
+        form is one, so each element is built exactly once.  Raises
+        BudgetExceededError as soon as the count passes max_elements.
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
@@ -484,22 +474,24 @@ class GraphProduct:
                 break
             for w in level:
                 for s, c in self.graph.orders.items():
-                    if times(w, s, 1).letters[-1:] != ((s, 1),):
+                    x = times(w, s, 1)
+                    if x.letters[-1:] != ((s, 1),):
                         continue
-                    if c is None:
-                        exponents = (sign * k for k in range(1, room + 1) for sign in (1, -1))
-                    else:
-                        exponents = range(1, c)
-                    for e in exponents:
-                        x = times(w, s, e)
-                        while len(levels) <= x.length:
-                            levels.append([])
-                        levels[x.length].append(x)
-                        count += 1
-                        if count > max_elements:
-                            raise BudgetExceededError(
-                                "ball of radius %d exceeds %d elements" % (radius, max_elements)
-                            )
+                    starts = (x,) if c is not None else (x, times(x, s, -2))
+                    for x in starts:
+                        sign = x.letters[-1][1]
+                        for k in range(room if c is None else c - 1):
+                            if k:
+                                x = times(x, s, sign)
+                            while len(levels) <= x.length:
+                                levels.append([])
+                            levels[x.length].append(x)
+                            count += 1
+                            if count > max_elements:
+                                raise BudgetExceededError(
+                                    "ball of radius %d exceeds %d elements"
+                                    % (radius, max_elements)
+                                )
         return frozenset(w for level in levels for w in level)
 
     # -- the ground-truth oracle ----------------------------------------------

@@ -1,12 +1,14 @@
+import itertools
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 import gpcubes
 from gpcubes.cubes import SimplicialComplex
-from gpcubes.groups import GraphProduct, parse_graph
+from gpcubes.groups import GraphProduct, LabeledGraph, parse_graph
 
 # The standing fixture set: one graph per small phenomenon.
 GRAPH_TEXTS = {
@@ -23,6 +25,38 @@ GRAPH_TEXTS = {
     + "\n",
     "mixed": "a:inf\nu:3\nedge a u\n",
 }
+
+
+def hat_names(graph):
+    """The doubled alphabet spelled out from the graph, kept as the
+    reference for GraphProduct's tables: s for a finite generator s, s+ and
+    s- for an infinite one."""
+    names = []
+    for s in graph.vertices:
+        names.extend((s,) if graph.is_finite(s) else (s + "+", s + "-"))
+    return tuple(names)
+
+
+def hat_base(graph, name):
+    """Split a hat letter's name into (base generator, sign)."""
+    if name in graph.orders:
+        if not graph.is_finite(name):
+            raise ValueError("infinite generator %r needs a sign tag" % name)
+        return name, 1
+    base, tag = name[:-1], name[-1:]
+    if tag in "+-" and base in graph.orders and not graph.is_finite(base):
+        return base, (1 if tag == "+" else -1)
+    raise ValueError("not a hat letter of this graph: %r" % name)
+
+
+@st.composite
+def labelled_graphs(draw, max_vertices=5, orders=(2, 3, None)):
+    """Random presentation graphs on at most max_vertices generators, each
+    of an order drawn from orders (None is inf)."""
+    names = ["v%d" % i for i in range(draw(st.integers(1, max_vertices)))]
+    drawn = {n: draw(st.sampled_from(orders)) for n in names}
+    edges = [pair for pair in itertools.combinations(names, 2) if draw(st.booleans())]
+    return LabeledGraph(names, drawn, edges)
 
 
 def fresh_python(code, *flags, env=None, args=()):

@@ -11,11 +11,10 @@ import pytest
 from gpcubes.cli import main
 from gpcubes.cubes import build_ball, check_link_models, is_flag, vertex_link
 from gpcubes.dj import DJPair, iso_check, _saturate
-from gpcubes.groups import hat_names
 from gpcubes.morse import height, morse_report, sublevel_euler
 from gpcubes.special import base_label, check_free_kernel_action, check_special
 
-from conftest import GRAPH_TEXTS
+from conftest import GRAPH_TEXTS, hat_names
 from test_dj import e_elements
 from test_groups import all_words, reduced_words
 

@@ -23,6 +23,7 @@ from gpcubes.cubes import (
     added_hat,
     build_ball,
     check_link_models,
+    cliques,
     coset_elements,
     coset_vertex,
     stabilizer,
@@ -86,7 +87,7 @@ def old_covers_up(ball, v):
     gp = ball.gp
     found = (
         ball._by_elements.get(coset_elements(gp, v.rep, c))
-        for c in ball.cliques
+        for c in cliques(ball.delta)
         if v.clique < c and len(c) == len(v.clique) + 1
     )
     return [w for w in found if w is not None]
@@ -132,7 +133,7 @@ def old_check_link_models(ball, v, link, up_hats, down_classes):
     hats = set(up_hats.values())
     ok = ok and len(hats) == len(up.vertices)
     expected_up_faces = {
-        frozenset(c - v.clique) for c in ball.cliques if v.clique <= c and c - v.clique <= hats
+        frozenset(c - v.clique) for c in cliques(ball.delta) if v.clique <= c and c - v.clique <= hats
     }
     inverse = {hat: w for w, hat in up_hats.items()}
     ok = ok and {frozenset(up_hats[w] for w in f) for f in up.faces} == expected_up_faces
@@ -198,7 +199,7 @@ def check_cofaces(ball):
     for v in interior_singletons(ball):
         n = v.rep.length
         expected = {
-            c for c in ball.cliques if c and max(x.length for x in coset_elements(gp, v.rep, c)) == n
+            c for c in cliques(ball.delta) if c and max(x.length for x in coset_elements(gp, v.rep, c)) == n
         }
         assert descending_cofaces(ball, v)[1] == expected
 
@@ -472,6 +473,7 @@ def test_checks_form_no_products(ball, monkeypatch):
     # quotient x*rep^-1 it reports, so none where every stabilizer is trivial
     ball.cubes_containing(ball.vertices[0])  # the incidence reads the masks
     ball._right  # the right table
+    ball.interior_vertices  # the interiority pass forms cosets by products
     calls = []
     real = ball.gp.normalize
     monkeypatch.setattr(ball.gp, "normalize", lambda w: calls.append(w) or real(w))

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -226,6 +227,23 @@ class TestDjGraphs:
         assert code == 0
         assert data["isomorphism"]["ok"]
         assert data["isomorphism"]["vertices_common"] == 9
+
+    def test_dimensions_list_no_clique_of_a_derived_graph(self, tmp_path, capsys):
+        # the ambient graph of the free group of rank 14 has 2^14 + 14 * 2^13
+        # cliques; the dimensions read the graph's 15 instead
+        names = "abcdefghijklmn"
+        path = tmp_path / "free14.graph"
+        path.write_text("".join("%s:inf\n" % s for s in names))
+        tracemalloc.start()
+        try:
+            code = main(["dj-graphs", "--graph", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert data["dimensions"] == {"original": 1, "doubled": 1, "ambient": 14}
+        assert peak < 5 * 2**20
 
     def test_common_complex_budget_exits_three(self, graph_file):
         # at r = 2 both balls of a:inf u:3 hold 11 elements, and the common

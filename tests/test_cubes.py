@@ -1,30 +1,57 @@
 import itertools
 import textwrap
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcubes.groups import LabeledGraph, hat_base, hat_names, parse_graph
+from gpcubes.groups import GraphProduct, LabeledGraph, parse_graph
 from gpcubes.cubes import (
     CosetVertex,
     Cube,
     NotInteriorError,
     SimplicialComplex,
+    ball_to_json,
     build_ball,
     check_link_models,
     cliques,
     coset_elements,
     coset_vertex,
     fundamental_domain_check,
-    hat_graph,
     is_flag,
     stabilizer,
     std_subset,
     vertex_link,
 )
 
-from conftest import clique_at, fresh_python, maximal_faces
+from gpcubes.morse import morse_report
+from gpcubes.special import check_special
+
+from conftest import (
+    clique_at,
+    fresh_python,
+    hat_base,
+    hat_names,
+    labelled_graphs,
+    maximal_faces,
+)
+
+
+def hat_graph(graph):
+    """The doubled graph derived pair by pair from the hat names, kept as
+    the reference for GraphProduct.doubled: edges pulled back from the base
+    graph, the two signed copies of an infinite generator never adjacent,
+    each vertex labelled with the size of its standard subset."""
+    names = hat_names(graph)
+    orders = {name: graph.orders.get(name, 2) for name in names}
+    edges = []
+    for a, b in itertools.combinations(names, 2):
+        sa, _ = hat_base(graph, a)
+        sb, _ = hat_base(graph, b)
+        if sa != sb and graph.adjacent(sa, sb):
+            edges.append((a, b))
+    return LabeledGraph(names, orders, edges)
 
 
 def poset_leq(a, b):
@@ -60,20 +87,28 @@ def balls(graphs):
 # -- doubled graph and cliques --------------------------------------------------
 
 
+def check_doubled(graph):
+    d, expected = GraphProduct(graph).doubled, hat_graph(graph)
+    assert d.to_text() == expected.to_text()
+    assert d.vertices == expected.vertices
+    assert d.orders == expected.orders
+    assert d.edges == expected.edges
+
+
 class TestHatGraph:
-    def test_infinite_generator_splits(self, graphs):
-        d = hat_graph(graphs["single_inf"])
+    def test_infinite_generator_splits(self, products):
+        d = products["single_inf"].doubled
         assert d.vertices == ("a+", "a-")
         assert not d.adjacent("a+", "a-")
         assert d.order("a+") == 2
 
-    def test_finite_generator_kept(self, graphs):
-        d = hat_graph(graphs["single_z3"])
+    def test_finite_generator_kept(self, products):
+        d = products["single_z3"].doubled
         assert d.vertices == ("a",)
         assert d.order("a") == 3
 
-    def test_commuting_pair_gives_complete_bipartite(self, graphs):
-        d = hat_graph(graphs["z_squared"])
+    def test_commuting_pair_gives_complete_bipartite(self, products):
+        d = products["z_squared"].doubled
         assert set(d.vertices) == {"a+", "a-", "b+", "b-"}
         for x in ("a+", "a-"):
             for y in ("b+", "b-"):
@@ -81,30 +116,52 @@ class TestHatGraph:
         assert not d.adjacent("a+", "a-")
         assert not d.adjacent("b+", "b-")
 
-    def test_mixed(self, graphs):
-        d = hat_graph(graphs["mixed"])
+    def test_mixed(self, products):
+        d = products["mixed"].doubled
         assert set(d.vertices) == {"a+", "a-", "u"}
         assert d.adjacent("a+", "u") and d.adjacent("a-", "u")
 
     def test_name_collision_rejected(self):
         with pytest.raises(ValueError):
-            hat_graph(parse_graph("s:inf\ns+:2\n"))
+            GraphProduct(parse_graph("s:inf\ns+:2\n"))
+
+    def test_matches_the_pairwise_derivation_on_the_fixtures(self, graphs):
+        for g in graphs.values():
+            check_doubled(g)
+
+    @given(labelled_graphs(max_vertices=6, orders=(2, 3, 4, None)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_pairwise_derivation_on_random_graphs(self, graph):
+        check_doubled(graph)
 
 
 class TestCliques:
-    def test_complete_bipartite(self, graphs):
-        cs = cliques(hat_graph(graphs["z_squared"]))
+    def test_complete_bipartite(self, products):
+        cs = cliques(products["z_squared"].doubled)
         by_size = {k: sum(1 for c in cs if len(c) == k) for k in range(3)}
         assert by_size == {0: 1, 1: 4, 2: 4}
 
-    def test_pentagon(self, graphs):
-        cs = cliques(hat_graph(graphs["pentagon"]))
+    def test_pentagon(self, products):
+        cs = cliques(products["pentagon"].doubled)
         assert len(cs) == 1 + 5 + 5
         assert max(len(c) for c in cs) == 2
 
-    def test_sorted_by_size(self, graphs):
-        cs = cliques(hat_graph(graphs["mixed"]))
+    def test_sorted_by_size(self, products):
+        cs = cliques(products["mixed"].doubled)
         assert [len(c) for c in cs] == sorted(len(c) for c in cs)
+
+    def test_size_bound_keeps_the_small_cliques(self, graphs):
+        for g in graphs.values():
+            d = GraphProduct(g).doubled
+            for most in range(4):
+                assert cliques(d, most) == [c for c in cliques(d) if len(c) <= most]
+
+    def test_ball_lists_cliques_of_at_most_radius_plus_one_letters(self):
+        # Z^6: 3^6 = 729 cliques of the doubled graph, 1 + 12 + 15 * 4 of
+        # them with at most two letters
+        names = "abcdef"
+        z6 = LabeledGraph(names, dict.fromkeys(names), itertools.combinations(names, 2))
+        assert len(build_ball(z6, 1).cliques) == 73
 
     @staticmethod
     def _check_against_brute_force(graph):
@@ -120,7 +177,7 @@ class TestCliques:
     def test_fixtures_match_brute_force(self, graphs):
         for g in graphs.values():
             self._check_against_brute_force(g)
-            self._check_against_brute_force(hat_graph(g))
+            self._check_against_brute_force(GraphProduct(g).doubled)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -130,6 +187,33 @@ class TestCliques:
             pair for pair in itertools.combinations(names, 2) if data.draw(st.booleans())
         ]
         self._check_against_brute_force(LabeledGraph(names, dict.fromkeys(names, 2), edges))
+
+
+def verdicts(ball):
+    """What a certificate reads of a ball: its JSON, the link verdicts, and
+    the Morse and specialness reports."""
+    links = [check_link_models(ball, v) for v in ball.interior_vertices]
+    return ball_to_json(ball), links, morse_report(ball), check_special(ball)
+
+
+def unbounded_ball(graph, radius):
+    """The ball built over every clique of the doubled graph."""
+    with mock.patch("gpcubes.cubes.cliques", lambda graph, most=None: cliques(graph)):
+        return build_ball(graph, radius)
+
+
+class TestCliqueBound:
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_fixtures_certify_as_with_every_clique(self, graphs, radius):
+        for g in graphs.values():
+            assert verdicts(build_ball(g, radius)) == verdicts(unbounded_ball(g, radius))
+
+    @given(labelled_graphs(max_vertices=4, orders=(2, 3, None)), st.integers(0, 2))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_random_graphs_certify_as_with_every_clique(self, graph, radius):
+        ball, full = build_ball(graph, radius), unbounded_ball(graph, radius)
+        assert len(full.cliques) >= len(ball.cliques)
+        assert verdicts(ball) == verdicts(full)
 
 
 class TestStdSubset:
@@ -162,7 +246,7 @@ class TestCosetElements:
         # reference: g times every product of one member per hat letter
         for gp in products.values():
             for x in gp.enumerate_ball(2):
-                for c in cliques(hat_graph(gp.graph)):
+                for c in cliques(gp.doubled):
                     expected = {
                         gp.normalize(x.letters + tuple(l for h in hs for l in h.letters))
                         for hs in itertools.product(*(gp.hat_subsets[hat] for hat in c))
@@ -254,7 +338,7 @@ class TestSimplicialComplex:
         assert is_flag(cycle4)
 
     def test_flag_complex_of_graph(self, graphs):
-        k = flag_complex(hat_graph(graphs["z_squared"]))
+        k = flag_complex(GraphProduct(graphs["z_squared"]).doubled)
         assert is_flag(k)
         assert len(k.faces) == 9  # exactly the cliques, the empty face included
 
@@ -293,6 +377,12 @@ class TestCubeBall:
     def test_census(self, balls, name, counts):
         b = balls[name]
         assert (len(b.vertices), len(b.edges), len(b.squares)) == counts
+
+    def test_interiority_is_found_on_first_use(self, graphs):
+        ball = build_ball(graphs["z_squared"], 2)
+        assert "_interior" not in vars(ball)
+        assert ball.is_interior(ball.vertex({ball.gp.identity}))
+        assert "_interior" in vars(ball)
 
     def test_cubes_are_made_once(self, balls):
         # each (top, sub, h) of the build gives its own (bottom, top) pair

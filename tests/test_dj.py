@@ -3,20 +3,23 @@ import random
 import textwrap
 
 import pytest
+from hypothesis import given, settings
 
-from gpcubes.cubes import SoundnessError, build_ball, cliques, coset_elements
+from gpcubes.cubes import CubeBall, SoundnessError, build_ball, cliques, coset_elements
 from gpcubes.dj import (
     DJPair,
     _images,
     _saturate,
     ambient_graph,
     build_y_ball,
+    dimensions,
     iso_check,
     order_preserved,
+    plus_cliques,
 )
-from gpcubes.groups import BudgetExceededError, GraphProduct, hat_base, parse_graph
+from gpcubes.groups import BudgetExceededError, GraphProduct, parse_graph
 
-from conftest import fresh_python
+from conftest import fresh_python, hat_base, labelled_graphs
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +168,55 @@ class TestAmbientGraph:
     def test_name_collision(self):
         with pytest.raises(ValueError):
             ambient_graph(parse_graph("s:inf\ns0:2\n"))
+
+
+def check_plus_cliques(pair):
+    # the reference: every clique of the doubled graph whose letters all
+    # have sign +, read off the hat names
+    expected = [
+        c for c in cliques(pair.doubled) if all(hat_base(pair.graph, hat)[1] > 0 for hat in c)
+    ]
+    found = plus_cliques(pair)
+    assert len(found) == len(set(found))
+    assert set(found) == set(expected)
+
+
+def check_dimensions(graph):
+    # the references: the largest clique of each complex's doubled graph;
+    # the ambient graph has only finite generators, so it is its own
+    most = max(map(len, cliques(GraphProduct(graph).doubled)))
+    ambient = max(map(len, cliques(ambient_graph(graph))))
+    assert dimensions(graph) == {"original": most, "doubled": most, "ambient": ambient}
+
+
+GRAPHS_UP_TO_SIX = labelled_graphs(max_vertices=6, orders=(2, 3, 4, None))
+
+
+class TestDimensions:
+    def test_fixtures(self, graphs):
+        for g in graphs.values():
+            check_dimensions(g)
+
+    @given(GRAPHS_UP_TO_SIX)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_graphs(self, graph):
+        check_dimensions(graph)
+
+    def test_mixed(self, graphs):
+        # a0 commutes with u and b0 but not a+: u a0 b0 is a largest clique
+        g = parse_graph("a:inf\nu:3\nb:inf\nedge a u\n")
+        assert dimensions(g) == {"original": 2, "doubled": 2, "ambient": 3}
+
+
+class TestPlusCliques:
+    def test_fixtures(self, graphs):
+        for g in graphs.values():
+            check_plus_cliques(DJPair(g))
+
+    @given(GRAPHS_UP_TO_SIX)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_graphs(self, graph):
+        check_plus_cliques(DJPair(graph))
 
 
 class TestEmbeddings:
@@ -394,6 +446,13 @@ class TestIsoCheck:
     def test_y_ball_matches_the_unpruned_scan_on_random_graphs(self, text, radius):
         p = DJPair(parse_graph(text))
         assert build_y_ball(p, radius) == unpruned_y_ball(p, radius)
+
+    def test_reads_no_interiority(self, graphs, monkeypatch):
+        def fail(ball):
+            raise AssertionError("iso_check read the interior vertices")
+
+        monkeypatch.setattr(CubeBall, "_interior", property(fail))
+        assert iso_check(graphs["mixed"], 2)["ok"]
 
     def test_y_ball_matches_vertex_count(self, graphs):
         p = DJPair(graphs["single_inf"])

@@ -11,15 +11,14 @@ from gpcubes.groups import (
     BudgetExceededError,
     GraphParseError,
     GraphProduct,
-    LabeledGraph,
     NormalForm,
     UnknownGeneratorError,
     PresentationMismatchError,
-    hat_base,
-    hat_names,
     parse_graph,
     parse_word,
 )
+
+from conftest import hat_base, hat_names, labelled_graphs
 
 
 def reduced_words(gp, word):
@@ -118,15 +117,6 @@ def bfs_ball(gp, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
                     raise BudgetExceededError("ball exceeds %d elements" % max_elements)
                 queue.append(h)
     return frozenset(seen)
-
-
-@st.composite
-def labelled_graphs(draw, max_vertices=5):
-    """Random presentation graphs with orders in {2, 3, inf}."""
-    names = ["v%d" % i for i in range(draw(st.integers(1, max_vertices)))]
-    orders = {n: draw(st.sampled_from([2, 3, None])) for n in names}
-    edges = [pair for pair in itertools.combinations(names, 2) if draw(st.booleans())]
-    return LabeledGraph(names, orders, edges)
 
 
 def words(graph, max_size):
