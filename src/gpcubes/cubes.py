@@ -58,6 +58,28 @@ def cliques(graph, most=None):
     return out
 
 
+def maximal_cliques(graph):
+    """The maximal cliques of a finite graph (the empty one alone when it has
+    no vertex), in no fixed order: Bron-Kerbosch with a pivot (Tomita,
+    Tanaka and Takahashi, TCS 2006), which branches only on the candidates
+    outside the pivot's neighbourhood, so a complete graph costs one path."""
+    out = []
+
+    def extend(clique, candidates, excluded):
+        if not candidates and not excluded:
+            out.append(frozenset(clique))
+            return
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & graph.neighbors(u)))
+        for v in candidates - graph.neighbors(pivot):
+            near = graph.neighbors(v)
+            extend(clique + [v], candidates & near, excluded & near)
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    extend([], frozenset(graph.vertices), frozenset())
+    return out
+
+
 def coset_elements(gp, g, clique):
     """The element set of the coset g<<C>>, as a frozenset of normal forms."""
     elements = {g}
@@ -131,13 +153,16 @@ class CosetVertex:
         return "CosetVertex(%s|{%s})" % (self.rep, ",".join(sorted(self.clique)))
 
 
-def coset_vertex(gp, g, clique):
+def coset_vertex(gp, g, clique, elements=None):
     """Canonicalized vertex g<<C>>; invariant under g -> g*h, h in <<C>>.
+    elements is the coset's element set when the caller has formed it
+    already (coset_elements(gp, g, clique)); it is formed here otherwise.
 
     The clique at rep is read as added_hat reads a hat: only the hat
     letters of each base of C are tried at rep, and a SoundnessError is
     raised unless exactly one of them lands in the coset."""
-    elements = coset_elements(gp, g, clique)
+    if elements is None:
+        elements = coset_elements(gp, g, clique)
     rep = min(elements, key=gp.sort_key)
     canonical = []
     for base in {gp.base_of[hat] for hat in clique}:
@@ -207,9 +232,51 @@ def is_flag(complex_):
     return all(complex_.has_face(c) for c in cs)
 
 
+def ball_vertices(gp, elements, radius, cs):
+    """The vertices of the radius-r ball, whose elements are `elements`:
+    the cosets g<<C>> of the pairs (g, C) of an element and a clique of cs
+    with |g| + |C| <= radius, one coset formed per pair and handed to
+    coset_vertex.  cs must be sorted by size, as the loop over it stops at
+    the first clique too large for g.  CubeBall says why these pairs give
+    every vertex and no coset leaving the ball; a SoundnessError where a
+    vertex breaks the identity max_length = |rep| + |clique| that this
+    rests on."""
+    out = {}
+    for g in elements:
+        for c in cs:
+            if g.length + len(c) > radius:
+                break
+            coset = coset_elements(gp, g, c)
+            if coset in out:
+                continue
+            v = out[coset] = coset_vertex(gp, g, c, coset)
+            if v.max_length != v.rep.length + len(v.clique):
+                raise SoundnessError(
+                    "vertex %r has max length %d, not %d + %d"
+                    % (v, v.max_length, v.rep.length, len(v.clique))
+                )
+    return list(out.values())
+
+
 class CubeBall:
     """All vertices of the complex with coset max length <= radius, with
     every cube among them.  Immutable once built; queries are pure.
+
+    The vertices are read off the pairs (g, C) with |g| + |C| <= radius
+    only (ball_vertices), as a vertex's max length is |rep| + |C| for its
+    least member rep and its clique C there.  No hat letter h of C shortens
+    rep: for a finite base s, rep ends in no letter s^f, or rep * s^-f
+    would be a shorter member; and rep * s^+-1 for s+ or s- is one longer
+    or one shorter than rep, shorter again being ruled out.  So every
+    non-identity element of <<h>> lengthens rep by one.  The letters of C
+    have distinct bases that commute, and a power of one base leaves the
+    last letter rep has in each other base as it is, so the gains add up:
+    rep * x is |rep| + k long for x in <<C>> a product of k non-identity
+    factors, and rep<<C>> lies in the ball iff |rep| + |C| <= radius.  Its
+    own pair is then scanned.  Conversely each letter lengthens g by at
+    most one, so every scanned coset g<<C>> lies in the ball.  The cosets
+    are those of Davis's cells (w, T), each named by its least element w
+    (Davis, The Geometry and Topology of Coxeter Groups, 2008).
 
     The cliques are those of at most radius + 1 hat letters.  A coset
     g<<C>> holds an element of length >= |C|, so no vertex of the ball has
@@ -251,16 +318,9 @@ class CubeBall:
         elements = gp.enumerate_ball(radius, max_elements=max_elements)
         self._element_set = elements
 
-        by_key = {}
-        for g in elements:
-            for c in self.cliques:
-                candidate = coset_elements(gp, g, c)
-                if candidate in by_key or not candidate <= elements:
-                    continue
-                by_key[candidate] = coset_vertex(gp, g, c)
         hat_index = self.delta.index
         self.vertices = sorted(
-            by_key.values(),
+            ball_vertices(gp, elements, radius, self.cliques),
             key=lambda v: (gp.sort_key(v.rep), sorted(hat_index[h] for h in v.clique)),
         )
         self._by_elements = {v.elements: v for v in self.vertices}

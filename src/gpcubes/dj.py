@@ -18,7 +18,7 @@ this is checked on finite balls.
 
 from __future__ import annotations
 
-from .cubes import SoundnessError, build_ball, cliques
+from .cubes import SoundnessError, build_ball, cliques, maximal_cliques
 from .groups import DEFAULT_ELEMENT_BUDGET, BudgetExceededError, GraphProduct, LabeledGraph
 
 
@@ -65,9 +65,10 @@ def dimensions(graph):
     the image of a clique Q of the graph and Z a set of s0 letters with s0
     not in Z when s+ is in Q', as s0 commutes with all but s+.  The largest
     takes every s0 but those of Q's infinite generators, so it has #inf
-    letters plus one per finite generator of Q.
+    letters plus one per finite generator of Q.  Both maxima grow with Q,
+    so only the maximal cliques of the graph are read.
     """
-    cs = cliques(graph)
+    cs = maximal_cliques(graph)
     most = max(map(len, cs))
     finite = max(sum(map(graph.is_finite, c)) for c in cs)
     return {

@@ -26,6 +26,7 @@ keep the fast path honest.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import deque
 
@@ -282,31 +283,27 @@ class GraphProduct:
             s: frozenset(graph.vertices) - graph.neighbors(s) for s in graph.vertices
         }
         # the doubled alphabet: one hat letter s per finite generator s, two,
-        # s+ and s-, per infinite one.  For every hat letter h: the standard
-        # subset <<h>> (the whole cyclic group for a finite generator,
-        # {1, s^+-1} for s+ and s-, identity first), the generator h itself
-        # and its base generator; the hat letters of each generator; and the
-        # doubled graph on the hat letters, each of order |<<h>>|, every edge
-        # of the graph joining each hat letter of one end to each of the
-        # other (s+ and s- are never joined)
-        self.hat_subsets = {}
+        # s+ and s-, per infinite one.  For every hat letter h: the generator
+        # h itself and its base generator; the hat letters of each generator;
+        # and the doubled graph on the hat letters, each of order |<<h>>|
+        # (the order of a finite generator, 2 for s+ and s-), every edge of
+        # the graph joining each hat letter of one end to each of the other
+        # (s+ and s- are never joined)
         self.hat_generators = {}
         self.base_of = {}
         self.base_hats = {}
         for s in graph.vertices:
-            c = graph.orders[s]
-            if c is None:
-                hats = {s + "+": (self.generator(s, 1),), s + "-": (self.generator(s, -1),)}
+            if graph.orders[s] is None:
+                hats = {s + "+": self.generator(s, 1), s + "-": self.generator(s, -1)}
             else:
-                hats = {s: tuple(self.generator(s, k) for k in range(1, c))}
+                hats = {s: self.generator(s, 1)}
             self.base_hats[s] = tuple(hats)
-            for hat, powers in hats.items():
+            for hat, h in hats.items():
                 self.base_of[hat] = s
-                self.hat_subsets[hat] = (self._identity,) + powers
-                self.hat_generators[hat] = powers[0]
+                self.hat_generators[hat] = h
         self.doubled = LabeledGraph(
-            self.hat_subsets,
-            {hat: len(subset) for hat, subset in self.hat_subsets.items()},
+            self.hat_generators,
+            {hat: graph.orders[s] or 2 for hat, s in self.base_of.items()},
             [
                 (h, k)
                 for a, b in map(tuple, graph.edges)
@@ -314,6 +311,19 @@ class GraphProduct:
                 for k in self.base_hats[b]
             ],
         )
+
+    @functools.cached_property
+    def hat_subsets(self):
+        """Hat letter h -> the standard subset <<h>>, identity first: the
+        whole cyclic group for a finite generator, {1, s^+-1} for s+ and
+        s-.  Made on first use, as an order of c makes c - 1 powers, which
+        no word problem and no ball past the element budget needs."""
+        out = {}
+        for hat, h in self.hat_generators.items():
+            s = self.base_of[hat]
+            c = self.graph.orders[s] or 2
+            out[hat] = (self._identity, h) + tuple(self.generator(s, k) for k in range(2, c))
+        return out
 
     # -- basic word handling ------------------------------------------------
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import gpcubes
-from gpcubes.cubes import SimplicialComplex
+from gpcubes.cubes import SimplicialComplex, cliques, coset_elements, coset_vertex
 from gpcubes.groups import GraphProduct, LabeledGraph, parse_graph
 
 # The standing fixture set: one graph per small phenomenon.
@@ -82,6 +82,30 @@ def clique_at(gp, elements, at):
     return frozenset(
         hat for hat, h in gp.hat_generators.items() if gp.multiply(at, h) in elements
     )
+
+
+def oracle_ball(graph, radius):
+    """The ball's vertices by the unbounded scan, the reference for the
+    length bound of ball_vertices: the coset of every (element, clique)
+    pair, kept when it lies in the ball, and a vertex interior when every
+    coface at its rep does.  Maps (rep, clique, elements) to the interior
+    flag; the order of the cliques is never read."""
+    gp = GraphProduct(graph)
+    elements = gp.enumerate_ball(radius)
+    cs = cliques(gp.doubled, radius + 1)
+    by_key = {}
+    for g in elements:
+        for c in cs:
+            candidate = coset_elements(gp, g, c)
+            if candidate in by_key or not candidate <= elements:
+                continue
+            by_key[candidate] = coset_vertex(gp, g, c)
+    return {
+        (v.rep, v.clique, v.elements): all(
+            coset_elements(gp, v.rep, c) in by_key for c in cs if v.clique < c
+        )
+        for v in by_key.values()
+    }
 
 
 def join(a, b):

@@ -253,6 +253,25 @@ class TestDjGraphs:
         assert main(argv + ["--budget-elements", "22"]) == 0
 
 
+def test_a_large_order_is_bounded_by_the_budget(tmp_path, capsys):
+    # a:10^6 would make 10^6 - 1 powers of a: normalize needs none, and the
+    # ball of radius 1 passes the element budget before it needs them
+    path = tmp_path / "big.graph"
+    path.write_text("a:1000000\nb:inf\n")
+    tracemalloc.start()
+    try:
+        assert main(["normalize", "--graph", str(path), "b, a^-1"]) == 0
+        assert capsys.readouterr().out == "b, a^999999\nlength 2\n"
+        budget = ["--radius", "1", "--budget-elements", "1000"]
+        assert main(["build", "--graph", str(path), *budget]) == 3
+        assert main(["dj-graphs", "--graph", str(path), *budget]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "exceeds 1000 elements" in capsys.readouterr().err
+    assert peak < 5 * 2**20
+
+
 def test_import_leaves_out_networkx():
     proc = fresh_python(
         "import sys, gpcubes.cli; sys.exit('networkx' in sys.modules)"

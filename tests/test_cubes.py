@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcubes.groups import GraphProduct, LabeledGraph, parse_graph
+from gpcubes import cubes
 from gpcubes.cubes import (
     CosetVertex,
     Cube,
     NotInteriorError,
     SimplicialComplex,
+    SoundnessError,
     ball_to_json,
+    ball_vertices,
     build_ball,
     check_link_models,
     cliques,
@@ -35,6 +38,7 @@ from conftest import (
     hat_names,
     labelled_graphs,
     maximal_faces,
+    oracle_ball,
 )
 
 
@@ -214,6 +218,71 @@ class TestCliqueBound:
         ball, full = build_ball(graph, radius), unbounded_ball(graph, radius)
         assert len(full.cliques) >= len(ball.cliques)
         assert verdicts(ball) == verdicts(full)
+
+
+# -- the vertex scan ----------------------------------------------------------------
+
+
+def check_vertex_scan(graph, radius):
+    """The ball against the unbounded scan: the same (rep, clique, elements)
+    and interior flags, and max length |rep| + |clique| at every vertex."""
+    ball, expected = build_ball(graph, radius), oracle_ball(graph, radius)
+    found = {(v.rep, v.clique, v.elements): ball.is_interior(v) for v in ball.vertices}
+    assert len(found) == len(ball.vertices)
+    assert found == expected
+    for rep, clique, elements in expected:
+        assert max(x.length for x in elements) == rep.length + len(clique)
+
+
+class TestVertexScan:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+    def test_fixtures_match_the_unbounded_scan(self, graphs, radius):
+        for g in graphs.values():
+            check_vertex_scan(g, radius)
+
+    @given(labelled_graphs(max_vertices=5, orders=(2, 3, 4, None)), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_random_graphs_match_the_unbounded_scan(self, graph, radius):
+        check_vertex_scan(graph, radius)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_one_coset_per_kept_pair(self, graphs, radius, monkeypatch):
+        formed = []
+
+        def counting(gp, g, clique):
+            formed.append((g, clique))
+            return coset_elements(gp, g, clique)
+
+        monkeypatch.setattr(cubes, "coset_elements", counting)
+        for g in graphs.values():
+            gp = GraphProduct(g)
+            elements = gp.enumerate_ball(radius)
+            cs = cliques(gp.doubled, radius + 1)
+            formed.clear()
+            vertices = ball_vertices(gp, elements, radius, cs)
+            kept = {(x, c) for x in elements for c in cs if x.length + len(c) <= radius}
+            assert len(formed) == len(set(formed)) >= len(vertices)
+            assert set(formed) <= kept
+
+    def test_the_length_identity_is_checked(self, graphs, monkeypatch):
+        # a vertex whose clique is read too small breaks |rep| + |C|
+        def forgetful(gp, g, clique, elements=None):
+            v = coset_vertex(gp, g, clique, elements)
+            return CosetVertex(v.rep, frozenset(), v.elements)
+
+        monkeypatch.setattr(cubes, "coset_vertex", forgetful)
+        assert len(build_ball(graphs["single_inf"], 0).vertices) == 1
+        with pytest.raises(SoundnessError):
+            build_ball(graphs["single_inf"], 1)
+
+    def test_given_elements_are_not_formed_again(self, products, monkeypatch):
+        gp = products["z_squared"]
+        c = frozenset(["a+", "b-"])
+        elements = coset_elements(gp, gp.generator("a"), c)
+        monkeypatch.setattr(cubes, "coset_elements", None)
+        v = coset_vertex(gp, gp.generator("a"), c, elements)
+        assert v.elements is elements
+        assert (str(v.rep), v.clique) == ("a", c)
 
 
 class TestStdSubset:

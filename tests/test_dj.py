@@ -5,7 +5,14 @@ import textwrap
 import pytest
 from hypothesis import given, settings
 
-from gpcubes.cubes import CubeBall, SoundnessError, build_ball, cliques, coset_elements
+from gpcubes.cubes import (
+    CubeBall,
+    SoundnessError,
+    build_ball,
+    cliques,
+    coset_elements,
+    maximal_cliques,
+)
 from gpcubes.dj import (
     DJPair,
     _images,
@@ -17,7 +24,7 @@ from gpcubes.dj import (
     order_preserved,
     plus_cliques,
 )
-from gpcubes.groups import BudgetExceededError, GraphProduct, parse_graph
+from gpcubes.groups import BudgetExceededError, GraphProduct, LabeledGraph, parse_graph
 
 from conftest import fresh_python, hat_base, labelled_graphs
 
@@ -189,6 +196,18 @@ def check_dimensions(graph):
     assert dimensions(graph) == {"original": most, "doubled": most, "ambient": ambient}
 
 
+def check_maximal_cliques(graph):
+    # the references: every clique, and the largest ones read off it
+    every = cliques(graph)
+    found = maximal_cliques(graph)
+    assert len(found) == len(set(found))
+    assert set(found) == {c for c in every if not any(c < d for d in every)}
+    most = max(map(len, every))
+    finite = max(sum(map(graph.is_finite, c)) for c in every)
+    assert dimensions(graph)["original"] == most
+    assert dimensions(graph)["ambient"] == len(graph.infinite_vertices) + finite
+
+
 GRAPHS_UP_TO_SIX = labelled_graphs(max_vertices=6, orders=(2, 3, 4, None))
 
 
@@ -201,6 +220,28 @@ class TestDimensions:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_random_graphs(self, graph):
         check_dimensions(graph)
+
+    def test_maximal_cliques_on_the_fixtures(self, graphs):
+        for g in graphs.values():
+            check_maximal_cliques(g)
+
+    @given(GRAPHS_UP_TO_SIX)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_maximal_cliques_on_random_graphs(self, graph):
+        check_maximal_cliques(graph)
+
+    def test_the_empty_graph(self):
+        empty = LabeledGraph((), {}, ())
+        assert maximal_cliques(empty) == [frozenset()]
+        assert dimensions(empty) == {"original": 0, "doubled": 0, "ambient": 0}
+
+    def test_a_complete_graph_is_one_clique(self):
+        # Z^20 has 3^20 cliques in its doubled graph and 2^20 in itself,
+        # but one maximal clique
+        names = "abcdefghijklmnopqrst"
+        z20 = LabeledGraph(names, dict.fromkeys(names), itertools.combinations(names, 2))
+        assert maximal_cliques(z20) == [frozenset(names)]
+        assert dimensions(z20) == {"original": 20, "doubled": 20, "ambient": 20}
 
     def test_mixed(self, graphs):
         # a0 commutes with u and b0 but not a+: u a0 b0 is a largest clique

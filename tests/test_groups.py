@@ -439,6 +439,7 @@ def check_hat_tables(gp):
             powers = [gp.generator(base, sign)]
         assert gp.hat_subsets[hat] == (gp.identity, *powers)
         assert gp.hat_generators[hat] == powers[0]
+        assert gp.doubled.orders[hat] == len(gp.hat_subsets[hat])
     assert gp.base_hats == {
         s: tuple(hat for hat in names if hat_base(graph, hat)[0] == s) for s in graph.vertices
     }
@@ -453,6 +454,22 @@ class TestHatTables:
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_random_graphs(self, graph):
         check_hat_tables(GraphProduct(graph))
+
+    def test_hat_subsets_are_made_on_first_use(self):
+        # an order of 10^6 would make 10^6 - 1 powers: the word problem and
+        # the doubled graph need none of them
+        gp = GraphProduct(parse_graph("a:1000000\nb:inf\nedge a b\n"))
+        assert gp.doubled.orders == {"a": 1_000_000, "b+": 2, "b-": 2}
+        assert gp.hat_generators == {
+            "a": gp.generator("a"),
+            "b+": gp.generator("b"),
+            "b-": gp.generator("b", -1),
+        }
+        assert str(gp.normalize((("b", 1), ("a", -1)))) == "a^999999 b"
+        assert "hat_subsets" not in vars(gp)
+        small = GraphProduct(parse_graph("a:4\n"))
+        assert small.hat_subsets["a"] == tuple(small.generator("a", k) for k in range(4))
+        assert "hat_subsets" in vars(small)
 
 
 class TestDescLetters:
