@@ -101,24 +101,28 @@ def std_subset(gp, clique):
     return coset_elements(gp, gp.identity, clique)
 
 
+def _lands(gp, x, hat, elements):
+    """Whether x*h, for the generator h of a hat letter, lies in elements:
+    one letter put into the normal form x by gp.times, no normalize."""
+    return gp.times(x, *gp.hat_generators[hat].letters[0]) in elements
+
+
 def added_hat(ball, bottom, top):
     """The hat letter h with top = bottom.rep<<bottom.clique + h>>, for a
     cover bottom < top.
 
     Only the hat letters of the one base generator that top adds are tried
-    at bottom.rep, each read through the ball's right table; a
-    SoundnessError unless exactly one of them lands in top and
-    |top| = |bottom| * |<<h>>|."""
-    base_of = ball.gp.base_of
-    bases = {base_of[hat] for hat in top.clique}
-    bases -= {base_of[hat] for hat in bottom.clique}
+    at bottom.rep, each by _lands; a SoundnessError unless exactly one of
+    them lands in top and |top| = |bottom| * |<<h>>|."""
+    gp = ball.gp
+    bases = {gp.base_of[hat] for hat in top.clique}
+    bases -= {gp.base_of[hat] for hat in bottom.clique}
     if len(bases) != 1:
         raise SoundnessError("cover %r of %r adds bases %r" % (top, bottom, sorted(bases)))
     (base,) = bases
-    x, mask = ball._ids[bottom.rep], ball._masks[top]
-    landed = [hat for hat in ball.gp.base_hats[base] if ball._lands(x, hat, mask)]
-    if len(landed) != 1 or len(top.elements) != len(bottom.elements) * len(
-        ball.gp.hat_subsets[landed[0]]
+    landed = [hat for hat in gp.base_hats[base] if _lands(gp, bottom.rep, hat, top.elements)]
+    if len(landed) != 1 or len(top.elements) != len(bottom.elements) * ball.delta.order(
+        landed[0]
     ):
         raise SoundnessError("cover %r of %r adds hats %r" % (top, bottom, landed))
     return landed[0]
@@ -159,18 +163,15 @@ def coset_vertex(gp, g, clique, elements=None):
     already (coset_elements(gp, g, clique)); it is formed here otherwise.
 
     The clique at rep is read as added_hat reads a hat: only the hat
-    letters of each base of C are tried at rep, and a SoundnessError is
-    raised unless exactly one of them lands in the coset."""
+    letters of each base of C are tried at rep, each by _lands, and a
+    SoundnessError is raised unless exactly one of them lands in the
+    coset."""
     if elements is None:
         elements = coset_elements(gp, g, clique)
     rep = min(elements, key=gp.sort_key)
     canonical = []
     for base in {gp.base_of[hat] for hat in clique}:
-        landed = [
-            hat
-            for hat in gp.base_hats[base]
-            if gp.multiply(rep, gp.hat_generators[hat]) in elements
-        ]
+        landed = [hat for hat in gp.base_hats[base] if _lands(gp, rep, hat, elements)]
         if len(landed) != 1:
             raise SoundnessError(
                 "coset %s<<%s>> lands hats %r of %s at its rep"
@@ -291,21 +292,17 @@ class CubeBall:
     cube_vertices and cubes_containing return it as it stands; the covers
     of v are the other ends of the edges at v.
 
-    The checks read the ball through an index of ints instead of forming
-    products of normal forms:
-    * an id per element, in (length, lex) order, so that no id depends on
-      the hash seed and a coset's rep has the least id of its members;
-    * a right table: id -> the ids of x*h for every non-identity hat power
-      h, -1 where x*h leaves the ball, each entry one gp.times (one
-      letter, no normalize);
-    * each vertex's element ids as a bitmask.
-    Interval inclusion is a mask test; edge_hat (added_hat) and stabilizer
-    read the table.  One link read (vertex_link) serves both the link-model
-    check and the Morse up-link check.  fundamental_domain_check still
-    forms products: it is the independent check that every vertex is a
-    translate of a base vertex, and must not rest on the table it would
-    vouch for.  The interior vertices, the index and the incidence are
-    built on first use, as only the checks and the export need them."""
+    The checks hold each vertex once, as its frozenset of normal forms, and
+    ask two things only.  Does a hat letter h take x into a coset: _lands,
+    one gp.times of x and the letter of h, no normalize; edge_hat
+    (added_hat), stabilizer and coset_vertex all ask it so.  Does one
+    coset lie inside another: a frozenset inclusion, which finds each
+    cube's interval.  One link read (vertex_link) serves both the
+    link-model check and the Morse up-link check.  fundamental_domain_check
+    still forms products by multiply: it is the independent check that
+    every vertex is a translate of a base vertex.  The interior vertices
+    and the incidence are built on first use, as only the checks and the
+    export need them."""
 
     def __init__(self, graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         self.graph = graph
@@ -316,8 +313,6 @@ class CubeBall:
         gp = self.gp
 
         elements = gp.enumerate_ball(radius, max_elements=max_elements)
-        self._element_set = elements
-
         hat_index = self.delta.index
         self.vertices = sorted(
             ball_vertices(gp, elements, radius, self.cliques),
@@ -403,93 +398,19 @@ class CubeBall:
 
     @functools.cached_property
     def _interior(self):
-        """The vertices all of whose cofaces lie in the ball."""
-        gp, by_elements = self.gp, self._by_elements
+        """The vertices all of whose cofaces lie in the ball.  A coset of
+        a clique of more than radius letters is not formed: it holds an
+        element longer than the radius."""
+        gp, by_elements, radius = self.gp, self._by_elements, self.radius
         return {
             v
             for v in self.vertices
             if all(
-                coset_elements(gp, v.rep, c) in by_elements
+                len(c) <= radius and coset_elements(gp, v.rep, c) in by_elements
                 for c in self.cliques
                 if v.clique < c
             )
         }
-
-    # -- the index -------------------------------------------------------------
-
-    @functools.cached_property
-    def _elements(self):
-        """Id -> element: the ball in (length, lex) order."""
-        return sorted(self._element_set, key=self.gp.sort_key)
-
-    @functools.cached_property
-    def _ids(self):
-        """Element -> id."""
-        return {x: i for i, x in enumerate(self._elements)}
-
-    @functools.cached_property
-    def _columns(self):
-        """Hat letter -> its columns of the right table: one per
-        non-identity power, in hat_subsets order."""
-        out, k = {}, 0
-        for hat in self.delta.vertices:
-            n = len(self.gp.hat_subsets[hat]) - 1
-            out[hat] = range(k, k + n)
-            k += n
-        return out
-
-    @functools.cached_property
-    def _right(self):
-        """Id of x -> the ids of x*h for the non-identity hat powers h, by
-        _columns, with -1 where x*h leaves the ball."""
-        gp, ids = self.gp, self._ids
-        powers = [
-            h.letters[0] for hat in self.delta.vertices for h in gp.hat_subsets[hat][1:]
-        ]
-        return [[ids.get(gp.times(x, s, e), -1) for s, e in powers] for x in self._elements]
-
-    @functools.cached_property
-    def _masks(self):
-        """Vertex -> the bitmask of its element ids."""
-        ids = self._ids
-        out = {}
-        for v in self.vertices:
-            mask = 0
-            for x in v.elements:
-                mask |= 1 << ids[x]
-            out[v] = mask
-        return out
-
-    @functools.cached_property
-    def _holding(self):
-        """Element id -> the vertices whose coset holds it."""
-        out = [[] for _ in self._elements]
-        ids = self._ids
-        for v in self.vertices:
-            for x in v.elements:
-                out[ids[x]].append(v)
-        return out
-
-    def _lands(self, x, hat, mask):
-        """Whether x*h, for the element id x and the generator h of a hat
-        letter, is in the ball and in the coset of the given mask."""
-        y = self._right[x][self._columns[hat][0]]
-        return y >= 0 and mask >> y & 1 == 1
-
-    def _coset_mask(self, x, clique):
-        """The mask of x<<C>> for the element id x, read through the right
-        table; 0 when the coset leaves the ball."""
-        right, columns = self._right, self._columns
-        members = [x]
-        for hat in clique:
-            step = [right[y][k] for y in members for k in columns[hat]]
-            if -1 in step:
-                return 0
-            members += step
-        mask = 0
-        for y in members:
-            mask |= 1 << y
-        return mask
 
     # -- the incidence ----------------------------------------------------------
 
@@ -498,6 +419,15 @@ class CubeBall:
         """Hat letter -> graph index of its base generator."""
         index = self.graph.index
         return {hat: index[base] for hat, base in self.gp.base_of.items()}
+
+    @functools.cached_property
+    def _holding(self):
+        """Element -> the vertices whose coset holds it."""
+        out = {}
+        for v in self.vertices:
+            for x in v.elements:
+                out.setdefault(x, []).append(v)
+        return out
 
     @functools.cached_property
     def _intervals(self):
@@ -514,19 +444,16 @@ class CubeBall:
         return out
 
     def _interval(self, cube):
-        """The vertices w with bottom <= w <= top, found by mask inclusion
-        among those holding bottom.rep; a SoundnessError unless they are
-        2^dim, one per set of added bases."""
+        """The vertices w with bottom <= w <= top, found by element-set
+        inclusion among those holding bottom.rep; a SoundnessError unless
+        they are 2^dim, one per set of added bases."""
         bottom, top = cube.bottom, cube.top
-        base_index, masks = self._base_index, self._masks
+        base_index = self._base_index
         below = {base_index[h] for h in bottom.clique}
-        low, high = masks[bottom], masks[top]
         keyed = {}
         found = 0
-        # the rep is the least member of its coset, so it has the lowest id
-        for w in self._holding[(low & -low).bit_length() - 1]:
-            m = masks[w]
-            if low & m == low and m & high == m:
+        for w in self._holding[bottom.rep]:
+            if bottom.elements <= w.elements <= top.elements:
                 found += 1
                 keyed[tuple(sorted({base_index[h] for h in w.clique} - below))] = w
         if not found == len(keyed) == 2 ** cube.dim:
@@ -570,7 +497,7 @@ def check_link_models(ball, v):
     link, up_hats, down_classes = vertex_link(ball, v)
     cover = {hat: w for w, hat in up_hats.items()}
     if len(cover) != len(up_hats) or any(
-        len(set(members)) != len(ball.gp.hat_subsets[hat])
+        len(set(members)) != ball.delta.order(hat)
         for hat, members in down_classes.items()
     ):
         return False
@@ -589,12 +516,19 @@ def stabilizer(ball, v):
     always finite.
 
     h fixes v = rep<<C>> only if x = h*rep lies in v, and then h fixes v
-    iff x<<C>> = v.  So the stabilizer is {x*rep^-1 : x in v, x<<C>> = v},
-    each x<<C>> read through the ball's right table and compared as a mask;
-    a SoundnessError unless rep<<C>> is v.  The only products formed are
+    iff x<<C>> = v.  Write x = rep*c with c the product of one c_h in
+    <<h>> for each hat letter h of C: the factors have distinct bases
+    that commute, so c and its factors determine each other.  Then
+    x<<C>> = v iff c<<C>> = <<C>> iff c_h<<h>> = <<h>> for each h, which
+    holds iff h is finite (<<h>> is then a group) or c_h = 1 (for
+    <<s+>> = {1, s}, s<<s+>> = {s, s^2}).  And x*h lies in v iff c_h*h
+    lies in <<h>>, the other factors being kept: always for a finite h,
+    and iff c_h = 1 for a signed one.  So x is kept iff every hat of C
+    lands x in v (_lands), and the stabilizer is the x*rep^-1 of those x;
+    a SoundnessError unless rep is one.  The only products normalized are
     the quotients x*rep^-1 other than the identity, one normalize each."""
-    gp, ids, mask = ball.gp, ball._ids, ball._masks[v]
-    fixing = [x for x in v.elements if ball._coset_mask(ids[x], v.clique) == mask]
+    gp, elements = ball.gp, v.elements
+    fixing = [x for x in elements if all(_lands(gp, x, hat, elements) for hat in v.clique)]
     if v.rep not in fixing:
         raise SoundnessError("the identity does not fix %r" % (v,))
     inverse = tuple((s, -e) for s, e in reversed(v.rep.letters))

@@ -222,6 +222,12 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     is short; the coset is read off the search's moves (<<C>> is a group of
     commuting hat subsets) and saturated with the cached orbits.
 
+    Only a finite u has more than one power, and when x * u is not short
+    no x * u^k is, so its other powers are neither formed nor factorised:
+    u commutes with every s0, so x * u^k = beta(a * u^k) * e has the part
+    a * u^k, and |a * u| > radius >= |a| says that a does not end in u,
+    so every a * u^k is |a| + 1 long.
+
     Every move is one ambient letter, and every orbit member one s0 letter
     more, so the search forms its products with GraphProduct.times and
     normalizes no ambient word; factorize's residual check is built the
@@ -250,12 +256,17 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     while len(right) < len(reached):
         x = reached[len(right)]
         row = []
-        for _, s, e in moves:
+        past = None  # a hat whose first power is not short from x
+        for hat, s, e in moves:
+            if hat == past:
+                row.append(None)
+                continue
             y = gp2.times(x, s, e)
             if y not in part:
                 factor(y)
             if part[y] > radius:
                 y = None
+                past = hat
             elif y not in index:
                 index[y] = len(reached)
                 reached.append(y)

@@ -88,20 +88,21 @@ class Hyperplane:
 
 
 def hyperplanes(ball, roots=None):
-    """All hyperplanes of the ball.  A hyperplane is interior when every
-    dual edge has an interior top, so no square along it can be missing.
-    roots is _edge_roots of the ball, when the caller has it already."""
+    """All hyperplanes of the ball, in the order of their first edges in
+    ball.edges.  ball.edges is sorted by bottom rep first, so that is the
+    order of each hyperplane's least bottom rep.  A hyperplane is interior
+    when every dual edge has an interior top, so no square along it can be
+    missing.  roots is _edge_roots of the ball, when the caller has it
+    already."""
     if roots is None:
         roots = _edge_roots(ball, _square_edges(ball, _edge_index(ball)))
     classes = {}
     for e, root in zip(ball.edges, roots):
         classes.setdefault(root, []).append(e)
-    out = []
-    for members in classes.values():
-        interior = all(ball.is_interior(e.top) for e in members)
-        out.append(Hyperplane(members, interior))
-    out.sort(key=lambda h: min(ball.gp.sort_key(e.bottom.rep) for e in h.edges))
-    return out
+    return [
+        Hyperplane(members, all(ball.is_interior(e.top) for e in members))
+        for members in classes.values()
+    ]
 
 
 def check_special(ball, label_fn=None):

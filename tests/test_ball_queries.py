@@ -2,9 +2,11 @@
 each is compared with the version that re-multiplied the products the ball
 already holds, or scanned the covers by inclusion, list order included
 where the order is kept.  The old versions are kept here as oracles.  The
-balls are every fixture at r = 1, 2, 3 and the triangle a:inf b:inf u:3 at
-r = 4, whose 3-cubes the small balls lack; the oracles of the ball's index
-(element ids, the right table and the vertex masks) also run on
+checks ask gp.times one hat letter at a time (cubes._lands) and compare
+element sets, so _lands is compared with multiply at every element, hat
+letter and vertex holding the element.  The balls are every fixture at
+r = 1, 2, 3 and the triangle a:inf b:inf u:3 at r = 4, whose 3-cubes the
+small balls lack; the oracles of the checks' queries also run on
 Hypothesis graphs."""
 
 import functools
@@ -31,7 +33,7 @@ from gpcubes.cubes import (
 )
 from gpcubes.groups import LabeledGraph, parse_graph
 from gpcubes.morse import cube_max_vertex, descending_cofaces, descending_link, morse_report
-from gpcubes.special import check_free_kernel_action, check_special
+from gpcubes.special import check_free_kernel_action, check_special, hyperplanes
 
 from conftest import GRAPH_TEXTS, clique_at, join
 
@@ -156,27 +158,33 @@ def inclusion_interval(ball, cube, holding):
     return {w for w in holding[bottom.rep] if bottom.elements <= w.elements <= top.elements}
 
 
-# -- the index oracles, one function per query, run on fixed and random balls
+# -- the query oracles, one function per query, run on fixed and random balls
 
 
 def check_right_table(ball):
-    """Ids follow (length, lex) order, and each table entry is the id of
-    gp.multiply, -1 exactly when the product is longer than the radius."""
-    gp, elements = ball.gp, ball._elements
-    keys = [gp.sort_key(x) for x in elements]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
-    assert set(elements) == ball._element_set
-    for i, x in enumerate(elements):
-        assert ball._ids[x] == i
-        row = ball._right[i]
-        assert len(row) == sum(len(gp.hat_subsets[hat]) - 1 for hat in ball.delta.vertices)
+    """Each right product x*h of a ball element by a non-identity hat power,
+    read by one gp.times of h's letter, is gp.multiply's, and it is in the
+    ball exactly when it is no longer than the radius."""
+    gp = ball.gp
+    elements = {v.rep for v in ball.vertices if not v.clique}  # the vertices {g}
+    assert elements == set().union(*(v.elements for v in ball.vertices))
+    for x in elements:
         for hat in ball.delta.vertices:
-            for k, h in zip(ball._columns[hat], gp.hat_subsets[hat][1:]):
-                y = gp.multiply(x, h)
-                if y.length > ball.radius:
-                    assert row[k] == -1
-                else:
-                    assert row[k] >= 0 and elements[row[k]] == y
+            for h in gp.hat_subsets[hat][1:]:
+                y = gp.times(x, *h.letters[0])
+                assert y == gp.multiply(x, h)
+                assert (y in elements) == (y.length <= ball.radius)
+
+
+def check_lands(ball):
+    """_lands agrees with multiply for every element, hat letter and vertex
+    holding the element."""
+    gp = ball.gp
+    for v in ball.vertices:
+        for x in v.elements:
+            for hat in ball.delta.vertices:
+                expected = gp.multiply(x, gp.hat_generators[hat]) in v.elements
+                assert cubes._lands(gp, x, hat, v.elements) == expected
 
 
 def check_stabilizers(ball):
@@ -204,7 +212,7 @@ def check_cofaces(ball):
         assert descending_cofaces(ball, v)[1] == expected
 
 
-def check_mask_intervals(ball):
+def check_intervals(ball):
     holding = {}
     for v in ball.vertices:
         for x in v.elements:
@@ -222,10 +230,11 @@ def check_cliques_per_base(ball):
 
 INDEX_ORACLES = [
     check_right_table,
+    check_lands,
     check_stabilizers,
     check_descent_hats,
     check_cofaces,
-    check_mask_intervals,
+    check_intervals,
     check_cliques_per_base,
 ]
 
@@ -253,6 +262,10 @@ def test_right_table_matches_multiply(ball):
     check_right_table(ball)
 
 
+def test_lands_matches_multiply(ball):
+    check_lands(ball)
+
+
 def test_descent_hats_match_desc_letters(ball):
     check_descent_hats(ball)
 
@@ -262,7 +275,7 @@ def test_cofaces_match_coset_elements(ball):
 
 
 def test_mask_intervals_match_the_inclusion_scan(ball):
-    check_mask_intervals(ball)
+    check_intervals(ball)
 
 
 def test_cliques_per_base_match_clique_at(ball):
@@ -273,7 +286,7 @@ def test_cliques_per_base_match_clique_at(ball):
 @settings(max_examples=20, deadline=None, derandomize=True)
 def test_index_oracles_on_random_graphs(data):
     names = ["v%d" % i for i in range(data.draw(st.integers(1, 5)))]
-    orders = {n: data.draw(st.sampled_from([2, 3, None])) for n in names}
+    orders = {n: data.draw(st.sampled_from([2, 3, 4, None])) for n in names}
     edges = [pair for pair in itertools.combinations(names, 2) if data.draw(st.booleans())]
     ball = build_ball(LabeledGraph(names, orders, edges), data.draw(st.integers(1, 2)))
     for oracle in INDEX_ORACLES:
@@ -330,6 +343,15 @@ def test_edge_hats_are_formed_once(monkeypatch):
     for v in ball.interior_vertices:
         vertex_link(ball, v)
     assert len(calls) == len(ball.edges)
+
+
+def test_hyperplanes_are_in_the_order_of_their_least_bottom_reps(ball):
+    # the classes come in the order of their first edges, and ball.edges is
+    # sorted by bottom rep first, so the stable sort by least bottom rep
+    # that hyperplanes once made leaves them as they are
+    hps = hyperplanes(ball)
+    old = sorted(hps, key=lambda h: min(ball.gp.sort_key(e.bottom.rep) for e in h.edges))
+    assert [h.edges for h in old] == [h.edges for h in hps]
 
 
 def test_interval_of_the_wrong_dimension_raises(ball):
@@ -468,11 +490,11 @@ def test_each_interval_is_searched_once(case, monkeypatch):
 
 
 def test_checks_form_no_products(ball, monkeypatch):
-    # once the index is built, links, Morse and specialness form no product;
-    # the kernel action forms one per non-identity stabilizer element, the
-    # quotient x*rep^-1 it reports, so none where every stabilizer is trivial
-    ball.cubes_containing(ball.vertices[0])  # the incidence reads the masks
-    ball._right  # the right table
+    # once the incidence is built, links, Morse and specialness normalize no
+    # word; the kernel action normalizes one per non-identity stabilizer
+    # element, the quotient x*rep^-1 it reports, so none where every
+    # stabilizer is trivial
+    ball.cubes_containing(ball.vertices[0])  # the incidence
     ball.interior_vertices  # the interiority pass forms cosets by products
     calls = []
     real = ball.gp.normalize

@@ -6,6 +6,7 @@ import pytest
 
 from gpcubes import cli
 from gpcubes.cli import main
+from gpcubes.groups import GraphProduct
 
 from conftest import GRAPH_TEXTS, fresh_python
 
@@ -270,6 +271,22 @@ def test_a_large_order_is_bounded_by_the_budget(tmp_path, capsys):
         tracemalloc.stop()
     assert "exceeds 1000 elements" in capsys.readouterr().err
     assert peak < 5 * 2**20
+
+
+def test_radius_zero_lists_no_power_of_a_large_order(tmp_path, monkeypatch):
+    # at r = 0 the ball is the identity alone, and its interiority forms no
+    # coset of a clique of more letters than the radius, so neither build
+    # nor check lists the 10^6 - 1 powers of a
+    path = tmp_path / "big.graph"
+    path.write_text("a:1000000\nb:inf\n")
+
+    def refuse(self):
+        raise AssertionError("the powers of every hat letter were listed")
+
+    monkeypatch.setattr(GraphProduct, "hat_subsets", property(refuse))
+    for command in ("build", "check"):
+        out = tmp_path / (command + ".json")
+        assert main([command, "--graph", str(path), "--radius", "0", "--out", str(out)]) == 0
 
 
 def test_import_leaves_out_networkx():

@@ -544,6 +544,20 @@ class TestCommonComplexSearch:
         with pytest.raises(BudgetExceededError):
             build_y_ball(p, 2, max_elements=3)
 
+    def test_a_power_that_is_not_short_skips_the_others(self, monkeypatch):
+        # at r = 0 the first power of a is not short from the identity, so
+        # the other 998 are neither formed nor factorised: the factorised
+        # elements are 1, a, b+ and b0 b+, where every power would make 1,002
+        pair = DJPair(parse_graph("a:1000\nb:inf\n"))
+        calls = []
+        factorize = DJPair.factorize
+        monkeypatch.setattr(
+            DJPair, "factorize", lambda self, g: calls.append(g) or factorize(self, g)
+        )
+        e = _saturate(pair, (pair.gp_ambient.identity,))
+        assert build_y_ball(pair, 0) == {e}
+        assert len(calls) == 4
+
     def test_no_ambient_ball_is_enumerated(self, pairs, monkeypatch):
         def refuse(self, radius, max_elements=None):
             raise AssertionError("enumerate_ball called")
