@@ -16,10 +16,19 @@ unparsable input, 3 a resource budget ran out.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+
+try:
+    # hashlib loads OpenSSL's libcrypto; the built-in module gives the same
+    # digest for a fraction of the start-up time and memory
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .cubes import (
@@ -72,7 +81,7 @@ def _word_arg(text):
 
 
 def _graph_digest(graph):
-    return hashlib.sha256(graph.to_text().encode()).hexdigest()
+    return sha256(graph.to_text().encode()).hexdigest()
 
 
 def _certificate(graph, payload, radius=None):

@@ -299,10 +299,10 @@ class CubeBall:
     coset lie inside another: a frozenset inclusion, which finds each
     cube's interval.  One link read (vertex_link) serves both the
     link-model check and the Morse up-link check.  fundamental_domain_check
-    still forms products by multiply: it is the independent check that
-    every vertex is a translate of a base vertex.  The interior vertices
-    and the incidence are built on first use, as only the checks and the
-    export need them."""
+    forms its own products, each base coset translated by a vertex's rep:
+    it is the independent check that every vertex is a translate of a base
+    vertex.  The interior vertices and the incidence are built on first
+    use, as only the checks and the export need them."""
 
     def __init__(self, graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
         self.graph = graph
@@ -543,7 +543,11 @@ def fundamental_domain_check(ball):
 
     Every vertex must be rep * <<C'>> for a clique C' of the doubled graph,
     and two base-point vertices lie in one orbit exactly when their cliques
-    differ only by sign flips on infinite letters.
+    differ only by sign flips on infinite letters.  Each vertex is tested
+    by translating the base coset: {rep * c : c in <<C>>} must be its
+    element set, each rep * c formed by folding the letters of c into rep
+    with gp.times.  Left multiplication by rep is a bijection, so this holds
+    iff rep^-1 * elements = <<C>>.
     """
     gp = ball.gp
     subsets = {}  # clique -> <<C>>, formed once per clique
@@ -552,9 +556,13 @@ def fundamental_domain_check(ball):
     for v in ball.vertices:
         if v.clique not in subsets:
             subsets[v.clique] = std_subset(gp, v.clique)
-        rep_inv = gp.invert(v.rep)
-        standardized = frozenset(gp.multiply(rep_inv, x) for x in v.elements)
-        if standardized != subsets[v.clique]:
+        translated = set()
+        for c in subsets[v.clique]:
+            x = v.rep
+            for s, e in c.letters:
+                x = gp.times(x, s, e)
+            translated.add(x)
+        if translated != v.elements:
             ok = False
         key = ",".join(sorted(v.clique, key=ball.delta.index.__getitem__))
         census[key] = census.get(key, 0) + 1

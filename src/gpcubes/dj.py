@@ -226,7 +226,9 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     no x * u^k is, so its other powers are neither formed nor factorised:
     u commutes with every s0, so x * u^k = beta(a * u^k) * e has the part
     a * u^k, and |a * u| > radius >= |a| says that a does not end in u,
-    so every a * u^k is |a| + 1 long.
+    so every a * u^k is |a| + 1 long.  The search thus keeps one move per
+    hat, the letter of its generator and its |<<h>>| - 1 powers, formed
+    one product at a time, and lists no power of a hat it cannot take.
 
     Every move is one ambient letter, and every orbit member one s0 letter
     more, so the search forms its products with GraphProduct.times and
@@ -234,9 +236,12 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     same way.
     """
     gp2 = pair.gp_ambient
-    moves = []  # (hat, s, e) for the letter s^e of each non-identity hat power
-    for hat in gp2.hat_generators:
-        moves.extend((hat, *h.letters[0]) for h in gp2.hat_subsets[hat][1:])
+    # (hat, s, e, n) for each hat: the letter s^e of its generator and its n
+    # non-identity powers
+    moves = [
+        (hat, *h.letters[0], gp2.doubled.orders[hat] - 1)
+        for hat, h in gp2.hat_generators.items()
+    ]
     part = {}  # element -> length of its original-group part
     orbit = {}  # element -> its E-orbit
 
@@ -247,50 +252,49 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
             part[y] = a.length
             orbit[y] = members
 
-    # reached[i] is short; right[i][k] is reached[i] * moves[k], or None if
-    # that product is not short
+    # reached[i] is short; right[i][h] lists reached[i] * h^j for the hat h
+    # and j = 1, 2, ..., or is None if reached[i] * h is not short
     factor(gp2.identity)
     reached = [gp2.identity]
     index = {gp2.identity: 0}
     right = []
     while len(right) < len(reached):
         x = reached[len(right)]
-        row = []
-        past = None  # a hat whose first power is not short from x
-        for hat, s, e in moves:
-            if hat == past:
-                row.append(None)
-                continue
-            y = gp2.times(x, s, e)
-            if y not in part:
-                factor(y)
-            if part[y] > radius:
-                y = None
-                past = hat
-            elif y not in index:
-                index[y] = len(reached)
-                reached.append(y)
-                if len(reached) > max_elements:
-                    raise BudgetExceededError(
-                        "common complex of radius %d exceeds %d elements"
-                        % (radius, max_elements)
-                    )
-            row.append(y)
+        row = {}
+        for hat, s, e, n in moves:
+            powers = []
+            y = x
+            for _ in range(n):
+                y = gp2.times(y, s, e)
+                if y not in part:
+                    factor(y)
+                if part[y] > radius:
+                    powers = None
+                    break
+                if y not in index:
+                    index[y] = len(reached)
+                    reached.append(y)
+                    if len(reached) > max_elements:
+                        raise BudgetExceededError(
+                            "common complex of radius %d exceeds %d elements"
+                            % (radius, max_elements)
+                        )
+                powers.append(y)
+            row[hat] = powers
         right.append(row)
 
     out = set()
     for c in plus_cliques(pair):
-        # the columns of right that hold the moves of each hat of C
-        columns = [[k for k, move in enumerate(moves) if move[0] == h] for h in c]
         done = set()  # elements of a coset of <<C>> already formed
         for g in reached:
             if g in done:
                 continue
             coset = [g]
-            for ks in columns:
-                coset += [right[index[x]][k] for x in coset for k in ks]
-                if None in coset:
+            for h in c:
+                powers = [right[index[x]][h] for x in coset]
+                if None in powers:
                     break
+                coset += [y for p in powers for y in p]
             else:
                 out.add(frozenset().union(*(orbit[x] for x in coset)))
             done.update(coset)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -6,7 +8,7 @@ import pytest
 
 from gpcubes import cli
 from gpcubes.cli import main
-from gpcubes.groups import GraphProduct
+from gpcubes.groups import GraphProduct, parse_graph
 
 from conftest import GRAPH_TEXTS, fresh_python
 
@@ -289,6 +291,22 @@ def test_radius_zero_lists_no_power_of_a_large_order(tmp_path, monkeypatch):
         assert main([command, "--graph", str(path), "--radius", "0", "--out", str(out)]) == 0
 
 
+def test_dj_graphs_at_radius_zero_lists_no_power_of_a_large_order(tmp_path, monkeypatch):
+    # the common complex's search keeps one move per hat, and a's first
+    # power is not short from the identity at r = 0, so dj-graphs lists none
+    # of the 10^6 - 1 powers of a either
+    path = tmp_path / "big.graph"
+    path.write_text("a:1000000\nb:inf\n")
+
+    def refuse(self):
+        raise AssertionError("the powers of every hat letter were listed")
+
+    monkeypatch.setattr(GraphProduct, "hat_subsets", property(refuse))
+    out = tmp_path / "dj.json"
+    assert main(["dj-graphs", "--graph", str(path), "--radius", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["isomorphism"]["ok"]
+
+
 def test_import_leaves_out_networkx():
     proc = fresh_python(
         "import sys, gpcubes.cli; sys.exit('networkx' in sys.modules)"
@@ -301,10 +319,10 @@ def test_import_closure_is_small():
     # heavy module pulled in by the package itself
     code = """if 1:
         import sys
-        import argparse, json, hashlib
+        import argparse, json
         stdlib = set(sys.modules)
         import gpcubes.cli
-        heavy = ("dataclasses", "inspect", "ast", "dis")
+        heavy = ("dataclasses", "inspect", "ast", "dis", "hashlib", "_hashlib")
         print(" ".join(m for m in heavy if m in sys.modules))
         print(" ".join(sorted(
             m for m in set(sys.modules) - stdlib
@@ -313,8 +331,43 @@ def test_import_closure_is_small():
     """
     proc = fresh_python(code, "-S")
     assert proc.returncode == 0, proc.stderr
-    # no heavy module, and nothing beyond what the three imports need
-    assert proc.stdout.splitlines() == ["", ""]
+    # no heavy module, OpenSSL's hashlib included, and nothing beyond what
+    # the two imports need but the built-in SHA-256 module
+    heavy, extra = proc.stdout.split("\n")[:2]
+    assert heavy == ""
+    assert extra in ("_sha256", "_sha2")
+
+
+class TestGraphDigest:
+    TEXTS = {
+        **GRAPH_TEXTS,
+        "greek": "α:inf\nβ:2\nedge α β\n",
+        # Z^20: every pair of its 20 generators joined
+        "z20": "".join(s + ":inf\n" for s in "abcdefghijklmnopqrst")
+        + "".join("edge %s %s\n" % e for e in itertools.combinations("abcdefghijklmnopqrst", 2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TEXTS))
+    def test_matches_hashlib(self, name):
+        text = parse_graph(self.TEXTS[name]).to_text()
+        assert cli._graph_digest(parse_graph(text)) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_falls_back_to_hashlib(self):
+        # without the built-in module, the digest comes from hashlib and is
+        # the same
+        code = """if 1:
+            import sys
+            sys.modules["_sha256"] = sys.modules["_sha2"] = None
+            import gpcubes.cli
+            from gpcubes.groups import parse_graph
+            print("hashlib" in sys.modules)
+            print(gpcubes.cli._graph_digest(parse_graph(sys.argv[1])))
+        """
+        text = self.TEXTS["mixed"]
+        proc = fresh_python(code, args=(text,))
+        assert proc.returncode == 0, proc.stderr
+        expected = hashlib.sha256(parse_graph(text).to_text().encode()).hexdigest()
+        assert proc.stdout.splitlines() == ["True", expected]
 
 
 class TestNonAsciiNames:

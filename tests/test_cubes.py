@@ -1,5 +1,6 @@
 import itertools
 import textwrap
+import types
 from unittest import mock
 
 import pytest
@@ -645,10 +646,52 @@ class TestStabilizer:
                 assert frozenset(gp.multiply(h, x) for x in v.elements) == v.elements
 
 
+def standardized_domain_check(ball):
+    """The fundamental-domain check by standardisation: every element of a
+    vertex multiplied by rep^-1, and the set compared with <<C>>.  The
+    oracle for fundamental_domain_check's translated base cosets."""
+    gp = ball.gp
+    census = {}
+    ok = True
+    for v in ball.vertices:
+        rep_inv = gp.invert(v.rep)
+        if frozenset(gp.multiply(rep_inv, x) for x in v.elements) != std_subset(gp, v.clique):
+            ok = False
+        key = ",".join(sorted(v.clique, key=ball.delta.index.__getitem__))
+        census[key] = census.get(key, 0) + 1
+    orbit_keys = {frozenset(gp.base_of[hat] for hat in v.clique) for v in ball.vertices}
+    return {"ok": ok, "census": census, "orbit_classes": len(orbit_keys)}
+
+
 class TestFundamentalDomain:
     def test_every_vertex_is_a_translate(self, balls):
         for b in balls.values():
             assert fundamental_domain_check(b)["ok"]
+
+    def test_translates_match_the_standardised_sets(self, balls):
+        for name, b in balls.items():
+            gp = b.gp
+            for v in b.vertices:
+                base = std_subset(gp, v.clique)
+                rep_inv = gp.invert(v.rep)
+                assert frozenset(gp.multiply(v.rep, c) for c in base) == v.elements, (name, v)
+                assert frozenset(gp.multiply(rep_inv, x) for x in v.elements) == base, (name, v)
+            assert fundamental_domain_check(b) == standardized_domain_check(b), name
+
+    def test_a_swapped_element_set_is_not_a_translate(self, balls):
+        # one vertex given the element set of another coset of its clique:
+        # its rep no longer translates <<C>> onto it
+        for name, b in balls.items():
+            by_clique = {}
+            for v in b.vertices:
+                by_clique.setdefault(v.clique, []).append(v)
+            v, w = next(vs[:2] for vs in by_clique.values() if len(vs) > 1)
+            fake = CosetVertex(v.rep, v.clique, w.elements)
+            vertices = [fake if u is v else u for u in b.vertices]
+            corrupt = types.SimpleNamespace(gp=b.gp, delta=b.delta, vertices=vertices)
+            report = fundamental_domain_check(corrupt)
+            assert not report["ok"], name
+            assert report == standardized_domain_check(corrupt), name
 
     def test_orbit_census(self, balls):
         report = fundamental_domain_check(balls["z_squared"])
