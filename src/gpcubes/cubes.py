@@ -157,17 +157,14 @@ class CosetVertex:
         return "CosetVertex(%s|{%s})" % (self.rep, ",".join(sorted(self.clique)))
 
 
-def coset_vertex(gp, g, clique, elements=None):
+def coset_vertex(gp, g, clique, elements):
     """Canonicalized vertex g<<C>>; invariant under g -> g*h, h in <<C>>.
-    elements is the coset's element set when the caller has formed it
-    already (coset_elements(gp, g, clique)); it is formed here otherwise.
+    elements is the coset's element set, coset_elements(gp, g, clique).
 
     The clique at rep is read as added_hat reads a hat: only the hat
     letters of each base of C are tried at rep, each by _lands, and a
     SoundnessError is raised unless exactly one of them lands in the
     coset."""
-    if elements is None:
-        elements = coset_elements(gp, g, clique)
     rep = min(elements, key=gp.sort_key)
     canonical = []
     for base in {gp.base_of[hat] for hat in clique}:
@@ -196,41 +193,6 @@ class Cube:
 
     def __repr__(self):
         return "Cube(bottom=%r, top=%r, dim=%r)" % (self.bottom, self.top, self.dim)
-
-
-class SimplicialComplex:
-    """Finite abstract simplicial complex: a vertex list and a set of faces
-    closed under subsets (the empty face included).
-
-    The closure walks down from missing faces only: the facets of a face
-    are pushed when the face is new, so a family that is already closed
-    costs one membership test per face."""
-
-    def __init__(self, vertices, faces):
-        self.vertices = tuple(vertices)
-        closed = {frozenset()}
-        todo = [frozenset(f) for f in faces]
-        while todo:
-            f = todo.pop()
-            if f not in closed:
-                closed.add(f)
-                todo.extend(f - {x} for x in f)
-        self.faces = frozenset(closed)
-
-    def has_face(self, f):
-        return frozenset(f) in self.faces
-
-    def __repr__(self):
-        return "SimplicialComplex(%d vertices, %d faces)" % (
-            len(self.vertices),
-            len(self.faces) - 1,
-        )
-
-
-def is_flag(complex_):
-    """True iff every pairwise-adjacent vertex set spans a face."""
-    cs = _all_cliques(complex_.vertices, lambda a, b: complex_.has_face((a, b)))
-    return all(complex_.has_face(c) for c in cs)
 
 
 def ball_vertices(gp, elements, radius, cs):
@@ -297,8 +259,9 @@ class CubeBall:
     one gp.times of x and the letter of h, no normalize; edge_hat
     (added_hat), stabilizer and coset_vertex all ask it so.  Does one
     coset lie inside another: a frozenset inclusion, which finds each
-    cube's interval.  One link read (vertex_link) serves both the
-    link-model check and the Morse up-link check.  fundamental_domain_check
+    cube's interval.  The link-model check reads each interior vertex's
+    link once (vertex_link), and the Morse up-link check reads only the
+    up-covers and their hats.  fundamental_domain_check
     forms its own products, each base coset translated by a vertex's rep:
     it is the independent check that every vertex is a translate of a base
     vertex.  The interior vertices and the incidence are built on first
@@ -468,47 +431,50 @@ def build_ball(graph, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
 
 
 def vertex_link(ball, v):
-    """The link of an interior vertex, as (link, up_hats, down_classes).
+    """The link of an interior vertex, as (faces, up_hats, down_classes).
 
-    Simplices of the link correspond to cubes containing v, each spanned
-    by the covers of v in its interval.  up_hats maps each cover above v
-    to the hat letter it adds (ball.edge_hat); down_classes is
-    ball.covers_down(v), the covers below v grouped by hat letter.
+    faces holds the empty face and, for each cube containing v, the covers
+    of v in its interval.  The cube loop of CubeBall lists every interval
+    under every top, so each face of a cube of the ball is a cube of the
+    ball, and the faces are closed under subsets as they are read.  up_hats
+    maps each cover above v to the hat letter it adds (ball.edge_hat);
+    down_classes is ball.covers_down(v), the covers below v grouped by hat
+    letter.
     """
     if not ball.is_interior(v):
         raise NotInteriorError("link of %r is truncated by the ball boundary" % v)
-    ups = ball.covers_up(v)
-    up_hats = {w: ball.edge_hat(v, w) for w in ups}
+    up_hats = {w: ball.edge_hat(v, w) for w in ball.covers_up(v)}
     down_classes = ball.covers_down(v)
-    downs = [d for members in down_classes.values() for d in members]
-    covers = set(downs + ups)
-    faces = [covers.intersection(ball.cube_vertices(c)) for c in ball.cubes_containing(v)]
-    return SimplicialComplex(downs + ups, faces), up_hats, down_classes
+    covers = set(up_hats).union(*down_classes.values())
+    faces = {frozenset()}
+    faces.update(
+        frozenset(covers.intersection(ball.cube_vertices(c))) for c in ball.cubes_containing(v)
+    )
+    return frozenset(faces), up_hats, down_classes
 
 
 def check_link_models(ball, v):
     """Verify that the link of an interior vertex is the join of an up-part
-    and a down-part: that its faces are exactly the unions U + D, where U
+    and a down-part.  Each hat h with v.clique + h a clique must add exactly
+    one up-cover, and the faces must be exactly the unions U + D, where U
     runs over the up-covers adding the hats of C - v.clique for a clique
     C >= v.clique (the link of v.clique in the flag complex of the doubled
     graph, read through distinct hats), and D over the partial transversals
     of the down classes, each of |<<h>>| covers for a letter h of v.clique.
+    An interior vertex meets no clique above its own that ball.cliques
+    lacks (CubeBall).
     """
-    link, up_hats, down_classes = vertex_link(ball, v)
+    faces, up_hats, down_classes = vertex_link(ball, v)
     cover = {hat: w for w, hat in up_hats.items()}
-    if len(cover) != len(up_hats) or any(
-        len(set(members)) != ball.delta.order(hat)
-        for hat, members in down_classes.items()
+    above = [c - v.clique for c in ball.cliques if v.clique <= c]
+    if len(cover) != len(up_hats) or cover.keys() != set().union(*above) or any(
+        len(set(members)) != ball.delta.order(hat) for hat, members in down_classes.items()
     ):
         return False
-    faces = [
-        frozenset(cover[h] for h in c - v.clique)
-        for c in ball.cliques
-        if v.clique <= c and c - v.clique <= cover.keys()
-    ]
+    predicted = [frozenset(cover[h] for h in c) for c in above]
     for members in down_classes.values():
-        faces = [f | {m} for f in faces for m in members] + faces
-    return link.faces == set(faces)
+        predicted = [f | {m} for f in predicted for m in members] + predicted
+    return faces == set(predicted)
 
 
 def stabilizer(ball, v):

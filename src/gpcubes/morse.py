@@ -11,15 +11,11 @@ certified by Euler characteristic 1.
 
 from __future__ import annotations
 
-from .cubes import NotInteriorError, SimplicialComplex, SoundnessError, vertex_link
+from .cubes import NotInteriorError, SoundnessError
 
 
 class MorseViolationError(AssertionError):
     """A cube attained its maximal height in more than one vertex."""
-
-
-class TruncatedSublevelError(ValueError):
-    """The requested sublevel set is not fully contained in the ball."""
 
 
 def height(v):
@@ -47,36 +43,12 @@ def cube_max_vertex(ball, cube):
     return best
 
 
-def descending_link(ball, v):
-    """Up- and down-parts of the descending link of an interior vertex.
-
-    A cube containing v contributes a simplex exactly when v is its unique
-    height-maximal vertex.
-    """
-    link, up_hats, _ = vertex_link(ball, v)
-    covers = set(link.vertices)
-    faces = [
-        covers.intersection(ball.cube_vertices(cube))
-        for cube in ball.cubes_containing(v)
-        if cube_max_vertex(ball, cube) == v
-    ]
-    faces_up = [f & up_hats.keys() for f in faces]
-    faces_down = [f - up_hats.keys() for f in faces]
-    up_vertices = sorted({x for f in faces_up for x in f}, key=lambda w: ball.gp.sort_key(w.rep))
-    down_vertices = sorted(
-        {x for f in faces_down for x in f}, key=lambda w: ball.gp.sort_key(w.rep)
-    )
-    return (
-        SimplicialComplex(up_vertices, faces_up),
-        SimplicialComplex(down_vertices, faces_down),
-    )
-
-
 def descending_cofaces(ball, v):
-    """For a singleton vertex {g}, read off its link: the hats h whose
-    up-cover g<<h>> is no longer than g (desc_letters(g)), and the cliques
-    C whose cube bottomed at {g} has a top g<<C>> no longer than g."""
-    _, up_hats, _ = vertex_link(ball, v)
+    """For a singleton vertex {g}, read off its up-covers and their hats:
+    the hats h whose up-cover g<<h>> is no longer than g (desc_letters(g)),
+    and the cliques C whose cube bottomed at {g} has a top g<<C>> no
+    longer than g."""
+    up_hats = {w: ball.edge_hat(v, w) for w in ball.covers_up(v)}
     n = v.rep.length
     desc = frozenset(hat for w, hat in up_hats.items() if w.max_length == n)
     cofaces = {
@@ -107,33 +79,17 @@ def check_up_link_subdivided_simplex(ball, v):
     """For a singleton vertex {g}, g != 1: the descending up-link must be
     the poset of nonempty subsets of desc_letters(g) (the barycentric
     subdivision of a simplex), with desc_letters(g) a clique.  The descent
-    letters and the descending cofaces are read off the link of {g}, the
-    one link read that check_link_models makes too."""
+    letters and the descending cofaces are read off the up-covers of {g}."""
     if v.clique:
         raise ValueError("vertex has a nonempty clique; use the down-link check")
     if v.rep.is_identity:
         raise ValueError("the base point has an empty descending link")
+    if not ball.is_interior(v):
+        raise NotInteriorError("vertex %r is not interior" % v)
     desc, descending = descending_cofaces(ball, v)
     if any(a != b and not ball.delta.adjacent(a, b) for a in desc for b in desc):
         return False
     return descending == {frozenset(c) for c in ball.cliques if c and c <= desc}
-
-
-def sublevel_euler(ball, h):
-    """Euler characteristic of the sublevel set at height h.
-
-    Counts vertices minus edges plus squares etc.; requires the sublevel to
-    be complete inside the ball (primary height <= radius).
-    """
-    if h[0] > ball.radius:
-        raise TruncatedSublevelError(
-            "sublevel at primary height %d exceeds ball radius %d" % (h[0], ball.radius)
-        )
-    chi = sum(1 for v in ball.vertices if height(v) <= h)
-    for cube in ball.cubes:
-        if height(cube_max_vertex(ball, cube)) <= h:
-            chi += (-1) ** cube.dim
-    return chi
 
 
 def sublevel_eulers(ball, cube_heights):

@@ -32,13 +32,6 @@ def full_label(ball, edge):
     return (hat, trailing_power(ball.gp, edge.bottom.rep, ball.gp.base_of[hat]))
 
 
-def base_label(ball, edge):
-    """Coarser label that forgets the sign of infinite letters (useful as a
-    deliberately broken labelling in negative controls)."""
-    hat, k = full_label(ball, edge)
-    return (ball.gp.base_of[hat], k)
-
-
 def _edge_index(ball):
     """Position in ball.edges of each edge, keyed by (bottom, top)."""
     return {(e.bottom, e.top): i for i, e in enumerate(ball.edges)}

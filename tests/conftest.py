@@ -7,8 +7,10 @@ import pytest
 from hypothesis import strategies as st
 
 import gpcubes
-from gpcubes.cubes import SimplicialComplex, cliques, coset_elements, coset_vertex
+from gpcubes.cubes import _all_cliques, cliques, coset_elements, coset_vertex, vertex_link
 from gpcubes.groups import GraphProduct, LabeledGraph, parse_graph
+from gpcubes import morse
+from gpcubes.special import full_label
 
 # The standing fixture set: one graph per small phenomenon.
 GRAPH_TEXTS = {
@@ -84,6 +86,11 @@ def clique_at(gp, elements, at):
     )
 
 
+def vertex_of(gp, g, clique):
+    """The vertex g<<C>>, its coset formed first as ball_vertices forms it."""
+    return coset_vertex(gp, g, clique, coset_elements(gp, g, clique))
+
+
 def oracle_ball(graph, radius):
     """The ball's vertices by the unbounded scan, the reference for the
     length bound of ball_vertices: the coset of every (element, clique)
@@ -99,7 +106,7 @@ def oracle_ball(graph, radius):
             candidate = coset_elements(gp, g, c)
             if candidate in by_key or not candidate <= elements:
                 continue
-            by_key[candidate] = coset_vertex(gp, g, c)
+            by_key[candidate] = coset_vertex(gp, g, c, candidate)
     return {
         (v.rep, v.clique, v.elements): all(
             coset_elements(gp, v.rep, c) in by_key for c in cs if v.clique < c
@@ -108,14 +115,113 @@ def oracle_ball(graph, radius):
     }
 
 
+class SimplicialComplex:
+    """Finite abstract simplicial complex: a vertex list and a set of faces
+    closed under subsets (the empty face included).
+
+    The closure walks down from missing faces only: the facets of a face
+    are pushed when the face is new, so a family that is already closed
+    costs one membership test per face."""
+
+    def __init__(self, vertices, faces):
+        self.vertices = tuple(vertices)
+        closed = {frozenset()}
+        todo = [frozenset(f) for f in faces]
+        while todo:
+            f = todo.pop()
+            if f not in closed:
+                closed.add(f)
+                todo.extend(f - {x} for x in f)
+        self.faces = frozenset(closed)
+
+    def has_face(self, f):
+        return frozenset(f) in self.faces
+
+    def __repr__(self):
+        return "SimplicialComplex(%d vertices, %d faces)" % (
+            len(self.vertices),
+            len(self.faces) - 1,
+        )
+
+
+def is_flag(complex_):
+    """True iff every pairwise-adjacent vertex set spans a face."""
+    cs = _all_cliques(complex_.vertices, lambda a, b: complex_.has_face((a, b)))
+    return all(complex_.has_face(c) for c in cs)
+
+
+def link_complex(ball, v):
+    """The link of an interior vertex as a SimplicialComplex on its covers:
+    the face set vertex_link reads off the cubes."""
+    faces, up_hats, down_classes = vertex_link(ball, v)
+    downs = [d for members in down_classes.values() for d in members]
+    return SimplicialComplex(downs + list(up_hats), faces)
+
+
+def descending_link(ball, v):
+    """Up- and down-parts of the descending link of an interior vertex.
+
+    A cube containing v contributes a simplex exactly when v is its unique
+    height-maximal vertex.
+    """
+    _, up_hats, down_classes = vertex_link(ball, v)
+    covers = set(up_hats).union(*down_classes.values())
+    faces = [
+        covers.intersection(ball.cube_vertices(cube))
+        for cube in ball.cubes_containing(v)
+        if morse.cube_max_vertex(ball, cube) == v
+    ]
+    faces_up = [f & up_hats.keys() for f in faces]
+    faces_down = [f - up_hats.keys() for f in faces]
+    up_vertices = sorted({x for f in faces_up for x in f}, key=lambda w: ball.gp.sort_key(w.rep))
+    down_vertices = sorted(
+        {x for f in faces_down for x in f}, key=lambda w: ball.gp.sort_key(w.rep)
+    )
+    return (
+        SimplicialComplex(up_vertices, faces_up),
+        SimplicialComplex(down_vertices, faces_down),
+    )
+
+
+class TruncatedSublevelError(ValueError):
+    """The requested sublevel set is not fully contained in the ball."""
+
+
+def sublevel_euler(ball, h):
+    """Euler characteristic of the sublevel set at height h, the per-height
+    oracle of morse.sublevel_eulers.
+
+    Counts vertices minus edges plus squares etc.; requires the sublevel to
+    be complete inside the ball (primary height <= radius).  The height is
+    read as morse.height at each call, so a test that patches it there
+    patches this oracle too.
+    """
+    if h[0] > ball.radius:
+        raise TruncatedSublevelError(
+            "sublevel at primary height %d exceeds ball radius %d" % (h[0], ball.radius)
+        )
+    chi = sum(1 for v in ball.vertices if morse.height(v) <= h)
+    for cube in ball.cubes:
+        if morse.height(morse.cube_max_vertex(ball, cube)) <= h:
+            chi += (-1) ** cube.dim
+    return chi
+
+
+def base_label(ball, edge):
+    """Coarser label that forgets the sign of infinite letters: a
+    deliberately broken labelling, the negative control of check_special."""
+    hat, k = full_label(ball, edge)
+    return (ball.gp.base_of[hat], k)
+
+
 def join(a, b):
     """The join of two SimplicialComplexes: each face of a with each of b."""
     return SimplicialComplex(a.vertices + b.vertices, [x | y for x in a.faces for y in b.faces])
 
 
-def maximal_faces(complex_):
-    """The faces of a SimplicialComplex that lie in no other face."""
-    return [f for f in complex_.faces if not any(f < g for g in complex_.faces)]
+def maximal_faces(faces):
+    """The faces of a face set that lie in no other face."""
+    return [f for f in faces if not any(f < g for g in faces)]
 
 
 @pytest.fixture(scope="session")

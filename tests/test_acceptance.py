@@ -9,12 +9,12 @@ import json
 import pytest
 
 from gpcubes.cli import main
-from gpcubes.cubes import build_ball, check_link_models, is_flag, vertex_link
+from gpcubes.cubes import build_ball, check_link_models
 from gpcubes.dj import DJPair, iso_check, _saturate
-from gpcubes.morse import height, morse_report, sublevel_euler
-from gpcubes.special import base_label, check_free_kernel_action, check_special
+from gpcubes.morse import height, morse_report
+from gpcubes.special import check_free_kernel_action, check_special
 
-from conftest import GRAPH_TEXTS, hat_names
+from conftest import GRAPH_TEXTS, base_label, hat_names, is_flag, link_complex, sublevel_euler
 from test_dj import e_elements
 from test_groups import all_words, reduced_words
 
@@ -81,7 +81,7 @@ def test_links_are_flag(graphs):
     for name, graph in graphs.items():
         ball = build_ball(graph, 2)
         for v in ball.interior_vertices:
-            ok = ok and is_flag(vertex_link(ball, v)[0])
+            ok = ok and is_flag(link_complex(ball, v))
             ok = ok and check_link_models(ball, v)
     verdict("interior-links-flag", ok)
 

@@ -13,7 +13,6 @@ from gpcubes.cubes import (
     CosetVertex,
     Cube,
     NotInteriorError,
-    SimplicialComplex,
     SoundnessError,
     ball_to_json,
     ball_vertices,
@@ -23,7 +22,6 @@ from gpcubes.cubes import (
     coset_elements,
     coset_vertex,
     fundamental_domain_check,
-    is_flag,
     stabilizer,
     std_subset,
     vertex_link,
@@ -33,13 +31,18 @@ from gpcubes.morse import morse_report
 from gpcubes.special import check_special
 
 from conftest import (
+    GRAPH_TEXTS,
+    SimplicialComplex,
     clique_at,
     fresh_python,
     hat_base,
     hat_names,
+    is_flag,
     labelled_graphs,
+    link_complex,
     maximal_faces,
     oracle_ball,
+    vertex_of,
 )
 
 
@@ -69,9 +72,9 @@ def flag_complex(graph):
     return SimplicialComplex(graph.vertices, cliques(graph))
 
 
-def skeleton_edges(complex_):
-    """The faces of a SimplicialComplex with two vertices."""
-    return [f for f in complex_.faces if len(f) == 2]
+def skeleton_edges(faces):
+    """The faces of a face set with two vertices."""
+    return [f for f in faces if len(f) == 2]
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +270,7 @@ class TestVertexScan:
 
     def test_the_length_identity_is_checked(self, graphs, monkeypatch):
         # a vertex whose clique is read too small breaks |rep| + |C|
-        def forgetful(gp, g, clique, elements=None):
+        def forgetful(gp, g, clique, elements):
             v = coset_vertex(gp, g, clique, elements)
             return CosetVertex(v.rep, frozenset(), v.elements)
 
@@ -355,8 +358,8 @@ class TestCosetVertex:
     def test_translation_invariant(self, products):
         gp = products["z_squared"]
         c = frozenset(["a+"])
-        v = coset_vertex(gp, gp.identity, c)
-        w = coset_vertex(gp, gp.generator("a"), frozenset(["a-"]))
+        v = vertex_of(gp, gp.identity, c)
+        w = vertex_of(gp, gp.generator("a"), frozenset(["a-"]))
         # {1, a} = 1*<<a+>> = a*<<a->> is one vertex
         assert v == w
         assert hash(v) == hash(w)
@@ -364,24 +367,24 @@ class TestCosetVertex:
 
     def test_rep_is_least_element(self, products):
         gp = products["single_inf"]
-        v = coset_vertex(gp, gp.generator("a", 2), frozenset(["a-"]))
+        v = vertex_of(gp, gp.generator("a", 2), frozenset(["a-"]))
         assert v.rep == gp.generator("a")
         assert v.max_length == 2
 
     def test_finite_coset(self, products):
         gp = products["mixed"]
-        v = coset_vertex(gp, gp.generator("u", 2), frozenset(["u"]))
+        v = vertex_of(gp, gp.generator("u", 2), frozenset(["u"]))
         assert v.rep.is_identity
         assert len(v.elements) == 3
 
     def test_poset_order(self, products):
         gp = products["z_squared"]
-        bottom = coset_vertex(gp, gp.identity, frozenset())
-        mid = coset_vertex(gp, gp.identity, frozenset(["a+"]))
-        top = coset_vertex(gp, gp.identity, frozenset(["a+", "b+"]))
+        bottom = vertex_of(gp, gp.identity, frozenset())
+        mid = vertex_of(gp, gp.identity, frozenset(["a+"]))
+        top = vertex_of(gp, gp.identity, frozenset(["a+", "b+"]))
         assert poset_leq(bottom, mid) and poset_leq(mid, top)
         assert not poset_leq(top, mid)
-        other = coset_vertex(gp, gp.identity, frozenset(["b-"]))
+        other = vertex_of(gp, gp.identity, frozenset(["b-"]))
         assert not poset_leq(other, top)
 
 
@@ -392,7 +395,7 @@ class TestSimplicialComplex:
     def test_downward_closure(self):
         k = SimplicialComplex("abc", [frozenset("abc")])
         assert k.has_face("ab") and k.has_face("c") and k.has_face("")
-        assert maximal_faces(k) == [frozenset("abc")]
+        assert maximal_faces(k.faces) == [frozenset("abc")]
 
     def test_flag(self):
         full = SimplicialComplex("abc", [frozenset("abc")])
@@ -560,10 +563,10 @@ class TestCubeValue:
 class TestLinks:
     def test_real_line_base_point(self, balls):
         b = balls["single_inf"]
-        link, up_hats, down_classes = vertex_link(b, b.vertex({b.gp.identity}))
+        faces, up_hats, down_classes = vertex_link(b, b.vertex({b.gp.identity}))
         # two isolated points: one per direction
         assert len(up_hats) == 2 and not down_classes
-        assert sorted(map(len, maximal_faces(link))) == [1, 1]
+        assert sorted(map(len, maximal_faces(faces))) == [1, 1]
         assert set(up_hats.values()) == {"a+", "a-"}
 
     def test_real_line_edge_midpoint(self, balls):
@@ -574,22 +577,48 @@ class TestLinks:
 
     def test_torus_base_point_is_four_cycle(self, balls):
         b = balls["z_squared"]
-        link, up_hats, _ = vertex_link(b, b.vertex({b.gp.identity}))
+        faces, up_hats, _ = vertex_link(b, b.vertex({b.gp.identity}))
         assert len(up_hats) == 4
-        assert len(skeleton_edges(link)) == 4
-        assert sorted(map(len, maximal_faces(link))) == [2, 2, 2, 2]
+        assert len(skeleton_edges(faces)) == 4
+        assert sorted(map(len, maximal_faces(faces))) == [2, 2, 2, 2]
 
     def test_links_are_flag(self, balls):
         for name in ("single_inf", "z_squared", "mixed", "pentagon", "inf_dihedral"):
             b = balls[name]
             for v in b.interior_vertices:
-                assert is_flag(vertex_link(b, v)[0])
+                assert is_flag(link_complex(b, v))
 
     def test_link_models(self, balls):
         for name in ("single_inf", "z_squared", "mixed", "pentagon", "free2"):
             b = balls[name]
             for v in b.interior_vertices:
                 assert check_link_models(b, v)
+
+
+def check_faces_are_cubes(ball):
+    """Each sub-interval of each cube is a cube of the ball, and each link's
+    face set is closed under subsets: what vertex_link reads without a
+    closure walk."""
+    pairs = {(c.bottom, c.top) for c in ball.cubes}
+    for cube in ball.cubes:
+        for lo, hi in itertools.combinations(ball.cube_vertices(cube), 2):
+            if lo.elements < hi.elements:
+                assert (lo, hi) in pairs
+    for v in ball.interior_vertices:
+        faces = vertex_link(ball, v)[0]
+        assert SimplicialComplex((), faces).faces == faces
+
+
+@pytest.mark.parametrize("radius", range(5))
+@pytest.mark.parametrize("name", sorted(GRAPH_TEXTS))
+def test_faces_of_cubes_are_cubes(graphs, name, radius):
+    check_faces_are_cubes(build_ball(graphs[name], radius))
+
+
+@given(labelled_graphs(), st.integers(0, 2))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_faces_of_cubes_are_cubes_on_random_graphs(graph, radius):
+    check_faces_are_cubes(build_ball(graph, radius))
 
 
 # -- group action -------------------------------------------------------------------

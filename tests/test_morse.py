@@ -5,22 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpcubes import morse
-from gpcubes.cubes import build_ball, coset_vertex
+from gpcubes.cubes import NotInteriorError, build_ball
 from gpcubes.groups import LabeledGraph, parse_graph
 from gpcubes.morse import (
     MorseViolationError,
-    TruncatedSublevelError,
     check_down_link_simplex,
     check_up_link_subdivided_simplex,
     cube_max_vertex,
-    descending_link,
     height,
     morse_report,
-    sublevel_euler,
     sublevel_eulers,
 )
 
-from conftest import join, maximal_faces
+from conftest import (
+    TruncatedSublevelError,
+    descending_link,
+    join,
+    maximal_faces,
+    sublevel_euler,
+    vertex_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +45,9 @@ def balls(graphs):
 class TestHeight:
     def test_examples(self, products):
         gp = products["single_inf"]
-        base = coset_vertex(gp, gp.identity, frozenset())
-        point = coset_vertex(gp, gp.generator("a"), frozenset())
-        edge = coset_vertex(gp, gp.identity, frozenset(["a+"]))
+        base = vertex_of(gp, gp.identity, frozenset())
+        point = vertex_of(gp, gp.generator("a"), frozenset())
+        edge = vertex_of(gp, gp.identity, frozenset(["a+"]))
         assert height(base) == (0, 0)
         assert height(point) == (1, 0)
         assert height(edge) == (1, -1)
@@ -52,8 +56,8 @@ class TestHeight:
 
     def test_square_below_its_corner(self, products):
         gp = products["z_squared"]
-        square = coset_vertex(gp, gp.identity, frozenset(["a+", "b+"]))
-        corner = coset_vertex(gp, gp.normalize((("a", 1), ("b", 1))), frozenset())
+        square = vertex_of(gp, gp.identity, frozenset(["a+", "b+"]))
+        corner = vertex_of(gp, gp.normalize((("a", 1), ("b", 1))), frozenset())
         assert height(square) == (2, -2) < (2, 0) == height(corner)
 
 
@@ -112,7 +116,7 @@ class TestDescendingLink:
         gp = b.gp
         up, down = descending_link(b, b.vertex({gp.generator("u")}))
         assert len(up.vertices) == 1 and not down.vertices
-        assert sorted(map(len, maximal_faces(join(up, down)))) == [1]
+        assert sorted(map(len, maximal_faces(join(up, down).faces))) == [1]
 
 
 class TestDescentChecks:
@@ -139,6 +143,17 @@ class TestDescentChecks:
             check_up_link_subdivided_simplex(b, edge)
         with pytest.raises(ValueError):
             check_up_link_subdivided_simplex(b, base)
+
+    def test_boundary_singleton_rejected(self, balls):
+        # the up-link check reads no link, so it guards interiority itself
+        boundary = 0
+        for b in balls.values():
+            for v in b.vertices:
+                if not v.clique and not v.rep.is_identity and not b.is_interior(v):
+                    boundary += 1
+                    with pytest.raises(NotInteriorError):
+                        check_up_link_subdivided_simplex(b, v)
+        assert boundary
 
 
 class TestSublevels:

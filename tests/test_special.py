@@ -3,7 +3,6 @@ import pytest
 from gpcubes.groups import GraphProduct, parse_graph
 from gpcubes.cubes import build_ball
 from gpcubes.special import (
-    base_label,
     check_free_kernel_action,
     check_special,
     full_label,
@@ -11,6 +10,8 @@ from gpcubes.special import (
     torsion_projection,
     trailing_power,
 )
+
+from conftest import base_label
 
 
 @pytest.fixture(scope="module")
