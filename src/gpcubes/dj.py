@@ -78,12 +78,13 @@ def dimensions(graph):
     }
 
 
-def plus_cliques(pair):
-    """One clique of the doubled graph per clique of the graph, each
-    infinite s read as s+: in build_y_ball the E factor washes the signs
-    out, so no other sign pattern is needed."""
+def plus_cliques(pair, most=None):
+    """One clique of the doubled graph per clique of the graph with at most
+    `most` generators (all of them when None), each infinite s read as s+:
+    in build_y_ball the E factor washes the signs out, so no other sign
+    pattern is needed."""
     hats = pair.gp.base_hats
-    return [frozenset(hats[s][0] for s in c) for c in cliques(pair.graph)]
+    return [frozenset(hats[s][0] for s in c) for c in cliques(pair.graph, most)]
 
 
 class DJPair:
@@ -203,102 +204,149 @@ def build_y_ball(pair, radius, max_elements=DEFAULT_ELEMENT_BUDGET):
     """Vertices of the common complex: sets g * <<C>> * E in the ambient
     group whose members all have original-group part of length <= radius.
 
-    Call an ambient element short if the a of its factorisation beta(a) * e
-    has length <= radius.  A search from the identity moves by every
-    non-identity element of each ambient hat subset (u, u^2, s+, s0) and
-    keeps what it reaches only if it is short.  It reaches every short
-    element x = beta(a) * e: walk the ambient letters of the word beta
-    writes for the normal form a (s -> s+ s0, s^-1 -> s0 s+, finite letters
-    as they are), then the s0 letters of e.  A prefix ending inside beta(a)
-    is beta(a'), beta(a') * s0 or beta(a') * s+ = beta(a' s) * s0 with a'
-    (and a' s) a prefix of the normal form a, so its part is no longer than
-    a; a prefix beyond it has part a.  Every prefix is short, so the search
-    follows the walk.  max_elements bounds the short elements reached.
+    Orbits.  Every ambient element is x = beta(a) * e for one a of the
+    original group and one e in E (factorize); x is short if |a| <= radius.
+    E is abelian, so x * f = beta(a) * (e ^ f): an E-orbit shares its part,
+    and the search's nodes are orbits.  When a short x is first reached,
+    its 2^#inf members x * f are formed, one s0 letter each, and each is
+    counted against max_elements as it is formed; the orbit is checked
+    once, times_e(beta(a), e) == x, or a SoundnessError.  The member x * f
+    is named by its offset f, the generators whose s0 it adds.
 
-    One factorisation serves a whole E-orbit: x = beta(a) * e_x gives
-    x * e = beta(a) * (e_x ^ e), since E is abelian, so the members of the
-    orbit, formed once, share the part a.  A candidate set g<<C>>E, for g
-    reached and C a clique, is kept iff every element of the coset g<<C>>
-    is short; the coset is read off the search's moves (<<C>> is a group of
-    commuting hat subsets) and saturated with the cached orbits.
+    Parts.  Only x * u^k (finite u, 0 < k < |u|) and x * s0^eps * s+
+    (infinite s, eps in {0, 1}) are formed, from the orbit's first member
+    x = beta(a) * e, and each carries its part instead of factorising:
+    x * u^k = beta(a * u^k) * e, as u commutes with every s0; and with
+    e' = e ^ eps{s}, x * s0^eps * s+ = beta(a * s^sigma) * (e' ^ {s}),
+    sigma = -1 iff s is in e', as beta(s) = s+ s0, beta(s^-1) = s0 s+ and
+    s+ commutes with t0 for t != s.  A product not yet reached costs one
+    original-group times for its part and is a new orbit iff that part is
+    short.  Every other member's moves follow from its offset f:
+    (x * f) * u^k = (x * u^k) * f, and (x * f) * s+ =
+    (x * s0^eps * s+) * (f - {s}) with eps = [s in f].  Each prefix a' of
+    the normal form of a short part is short, and a' * u^k and a' * s^+-1
+    are one move from a' (eps picks the sign), so every short orbit is
+    reached.  When x * u is not short, |a * u| > radius >= |a| says that a
+    does not end in u, so no a * u^k is short and no other power is formed.
 
-    Only a finite u has more than one power, and when x * u is not short
-    no x * u^k is, so its other powers are neither formed nor factorised:
-    u commutes with every s0, so x * u^k = beta(a * u^k) * e has the part
-    a * u^k, and |a * u| > radius >= |a| says that a does not end in u,
-    so every a * u^k is |a| + 1 long.  The search thus keeps one move per
-    hat, the letter of its generator and its |<<h>>| - 1 powers, formed
-    one product at a time, and lists no power of a hat it cannot take.
+    Cliques.  A set g<<C>>E, for a plus clique C, is kept iff every member
+    of the coset g<<C>>, read off the moves, is short; it is the union of
+    the orbits of the coset's nodes.  The coset's parts form a coset
+    P = a<<C'>> of the original group, C' the signed letters the moves
+    add, and P holds an element of length >= |C'| = |C| (see CubeBall),
+    so only plus cliques of at most radius generators are read.  Each is
+    read at each orbit's first member only.  The search is breadth first
+    and a move changes the part's length by at most one, so a first member
+    is reached by moves that each lengthen the part.  The last of them in
+    s leaves it the bit of s whose s+ move steps back, and later u or t+
+    moves keep that bit.  That last step has the sign of the last syllable
+    in s of the part, for the longest element p of P the sign of s in C'.
+    So at the first member x of p's orbit, every s+ move of C stays in P,
+    and x<<C>>E = g<<C>>E.
 
-    Every move is one ambient letter, and every orbit member one s0 letter
-    more, so the search forms its products with GraphProduct.times and
-    normalizes no ambient word; factorize's residual check is built the
-    same way.
+    Every product is one letter put into a normal form by
+    GraphProduct.times, so no word of either group is normalized.
     """
-    gp2 = pair.gp_ambient
-    # (hat, s, e, n) for each hat: the letter s^e of its generator and its n
-    # non-identity powers
-    moves = [
-        (hat, *h.letters[0], gp2.doubled.orders[hat] - 1)
-        for hat, h in gp2.hat_generators.items()
-    ]
-    part = {}  # element -> length of its original-group part
-    orbit = {}  # element -> its E-orbit
-
-    def factor(x):
-        a, _ = pair.factorize(x)
-        members = _saturate(pair, (x,))
-        for y in members:
-            part[y] = a.length
-            orbit[y] = members
-
-    # reached[i] is short; right[i][h] lists reached[i] * h^j for the hat h
-    # and j = 1, 2, ..., or is None if reached[i] * h is not short
-    factor(gp2.identity)
-    reached = [gp2.identity]
-    index = {gp2.identity: 0}
-    right = []
-    while len(right) < len(reached):
-        x = reached[len(right)]
-        row = {}
-        for hat, s, e, n in moves:
-            powers = []
-            y = x
-            for _ in range(n):
-                y = gp2.times(y, s, e)
-                if y not in part:
-                    factor(y)
-                if part[y] > radius:
-                    powers = None
-                    break
-                if y not in index:
-                    index[y] = len(reached)
-                    reached.append(y)
-                    if len(reached) > max_elements:
-                        raise BudgetExceededError(
-                            "common complex of radius %d exceeds %d elements"
-                            % (radius, max_elements)
-                        )
-                powers.append(y)
-            row[hat] = powers
-        right.append(row)
-
+    members, step = _orbit_search(pair, radius, max_elements)
+    n = len(pair.graph.infinite_vertices)
+    orbits = [frozenset(orbit) for orbit in members]
     out = set()
-    for c in plus_cliques(pair):
-        done = set()  # elements of a coset of <<C>> already formed
-        for g in reached:
-            if g in done:
-                continue
-            coset = [g]
+    for c in plus_cliques(pair, radius):
+        for first in range(0, len(members) << n, 1 << n):
+            coset = [first]
             for h in c:
-                powers = [right[index[x]][h] for x in coset]
-                if None in powers:
+                nodes = [step(node, h) for node in coset]
+                if None in nodes:
                     break
-                coset += [y for p in powers for y in p]
+                coset += [node for found in nodes for node in found]
             else:
-                out.add(frozenset().union(*(orbit[x] for x in coset)))
-            done.update(coset)
+                out.add(frozenset().union(*(orbits[node >> n] for node in coset)))
     return out
+
+
+def _orbit_search(pair, radius, max_elements):
+    """The short E-orbits reached from the identity, and their moves, as
+    build_y_ball describes: (members, step), with members[i] the members of
+    orbit i indexed by offset, and step(node, h) the nodes of g * h^k,
+    k = 1, ..., |<<h>>| - 1, for the node of g and a plus letter h (u or
+    s+), or None if one of them is not short.  The node of members[i][f]
+    is i << #inf | f."""
+    gp, gp2 = pair.gp, pair.gp_ambient
+    graph = pair.graph
+    infinite = graph.infinite_vertices
+    n = len(infinite)
+    low = (1 << n) - 1  # the offset bits of a node
+    bit = {_plus(s): 1 << k for k, s in enumerate(infinite)}
+    zeros = [_zero(s) for s in infinite]
+    members = []  # orbit -> its members, indexed by offset
+    parts = []  # orbit -> (a, e) of its first member beta(a) * e, e a bitmask
+    node_of = {}  # element -> orbit << n | offset
+
+    def reach(x, a, e):
+        # the orbit of a short x = beta(a) * e, e a bitmask: its first node
+        if pair.times_e(pair.beta(a), [s for k, s in enumerate(infinite) if e >> k & 1]) != x:
+            raise SoundnessError("orbit of %s has no part %s" % (x, a))
+        orbit = []
+        for f in range(1 << n):
+            if len(node_of) + f >= max_elements:
+                raise BudgetExceededError(
+                    "common complex of radius %d exceeds %d elements"
+                    % (radius, max_elements)
+                )
+            last = f & -f  # the member x * f is x * (f - last), times one s0
+            orbit.append(gp2.times(orbit[f ^ last], zeros[last.bit_length() - 1], 1) if f else x)
+        first = len(members) << n
+        node_of.update(zip(orbit, range(first, first + len(orbit))))
+        members.append(orbit)
+        parts.append((a, e))
+        return first
+
+    reach(gp2.identity, gp.identity, 0)
+    # moves[i][h]: the nodes of x * h^k, k = 1, 2, ..., for the first member
+    # x of orbit i and a finite u = h, or None if x * u is not short; for
+    # h = s+, the node of x * s0^eps * s+ (or None) for eps = 0, 1
+    moves = []
+    while len(moves) < len(members):
+        orbit = members[len(moves)]
+        a, e = parts[len(moves)]
+        row = {}
+        for u in graph.finite_vertices:
+            nodes = []
+            y = orbit[0]
+            for k in range(1, graph.orders[u]):
+                y = gp2.times(y, u, 1)
+                node = node_of.get(y)
+                if node is None:
+                    b = gp.times(a, u, k)
+                    if b.length > radius:
+                        nodes = None
+                        break
+                    node = reach(y, b, e)
+                nodes.append(node)
+            row[u] = nodes
+        for s in infinite:
+            plus = _plus(s)
+            nodes = []
+            for eps in (0, bit[plus]):
+                y = gp2.times(orbit[eps], plus, 1)
+                node = node_of.get(y)
+                if node is None:
+                    f = e ^ eps
+                    b = gp.times(a, s, -1 if f & bit[plus] else 1)
+                    node = reach(y, b, f ^ bit[plus]) if b.length <= radius else None
+                nodes.append(node)
+            row[plus] = nodes
+        moves.append(row)
+
+    def step(node, h):
+        nodes = moves[node >> n][h]
+        offset = node & low
+        if h in bit:
+            target = nodes[1 if offset & bit[h] else 0]
+            return None if target is None else (target ^ (offset & ~bit[h]),)
+        return None if nodes is None else [target ^ offset for target in nodes]
+
+    return members, step
 
 
 def _images(pair, vertices, embed):

@@ -3,10 +3,7 @@ criterion.  Every expected value here is either frozen from an independent
 oracle (the rewriting-closure machinery, brute-force BFS) or a hand-checkable
 small example."""
 
-import itertools
 import json
-
-import pytest
 
 from gpcubes.cli import main
 from gpcubes.cubes import build_ball, check_link_models

@@ -3,7 +3,8 @@ import random
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gpcubes.cubes import (
     CubeBall,
@@ -16,6 +17,7 @@ from gpcubes.cubes import (
 from gpcubes.dj import (
     DJPair,
     _images,
+    _orbit_search,
     _saturate,
     ambient_graph,
     build_y_ball,
@@ -480,6 +482,16 @@ class TestIsoCheck:
         for name, p in cases.items():
             assert build_y_ball(p, radius) == unpruned_y_ball(p, radius), name
 
+    @given(labelled_graphs(max_vertices=4, orders=(2, 3, None)), st.integers(0, 2))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_y_ball_matches_the_unpruned_scan_on_hypothesis_graphs(self, graph, radius):
+        # the scan saturates every coset of the ambient ball of radius
+        # 2r + #inf: with three infinite generators it takes about 10 s at
+        # r = 2, and with four about 9 s at r = 1
+        assume(len(graph.infinite_vertices) <= 4 - radius)
+        p = DJPair(graph)
+        assert build_y_ball(p, radius) == unpruned_y_ball(p, radius)
+
     @pytest.mark.parametrize("radius", [1, 2])
     @pytest.mark.parametrize(
         "text", RANDOM_GRAPH_TEXTS, ids=lambda t: t.strip().replace("\n", " | ")
@@ -527,6 +539,32 @@ class TestCommonComplexSearch:
             }
             assert set().union(*build_y_ball(p, radius)) == short, name
 
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_every_move_is_the_product_it_names(self, pairs, radius):
+        # each node's move by a plus letter h, read off its E-offset, names
+        # the members g * h^k themselves, or is None iff one is not short
+        for name, p in pairs.items():
+            gp2 = p.gp_ambient
+            members, step = _orbit_search(p, radius, 10_000)
+            n = len(p.graph.infinite_vertices)
+            low = (1 << n) - 1
+            plus = [hats[0] for hats in p.gp.base_hats.values()]
+            for i, orbit in enumerate(members):
+                for f, g in enumerate(orbit):
+                    for h in plus:
+                        letter, = gp2.hat_generators[h].letters
+                        powers = [g]
+                        for _ in range(gp2.doubled.order(h) - 1):
+                            powers.append(gp2.times(powers[-1], *letter))
+                        found = step(i << n | f, h)
+                        if found is None:
+                            assert any(
+                                p.factorize(x)[0].length > radius for x in powers
+                            ), name
+                        else:
+                            named = [members[node >> n][node & low] for node in found]
+                            assert named == powers[1:], name
+
     def test_factorisation_follows_the_e_orbit(self, pairs):
         # x = beta(a) * e_x gives x * e = beta(a) * (e_x ^ e)
         for name, p in pairs.items():
@@ -546,17 +584,29 @@ class TestCommonComplexSearch:
 
     def test_a_power_that_is_not_short_skips_the_others(self, monkeypatch):
         # at r = 0 the first power of a is not short from the identity, so
-        # the other 998 are neither formed nor factorised: the factorised
-        # elements are 1, a, b+ and b0 b+, where every power would make 1,002
+        # the other 998 are never formed: one orbit forms, {1, b0}, and a is
+        # formed once in the ambient group and once, as the part, in the
+        # original one, where every power would make 999 of each
         pair = DJPair(parse_graph("a:1000\nb:inf\n"))
-        calls = []
-        factorize = DJPair.factorize
-        monkeypatch.setattr(
-            DJPair, "factorize", lambda self, g: calls.append(g) or factorize(self, g)
-        )
         e = _saturate(pair, (pair.gp_ambient.identity,))
+        powers = {pair.gp: [], pair.gp_ambient: []}
+        orbits = []
+        times, beta = GraphProduct.times, DJPair.beta
+
+        def counting_times(self, x, s, k):
+            if s == "a":
+                powers[self].append(k)
+            return times(self, x, s, k)
+
+        def counting_beta(self, a):
+            orbits.append(a)
+            return beta(self, a)
+
+        monkeypatch.setattr(GraphProduct, "times", counting_times)
+        monkeypatch.setattr(DJPair, "beta", counting_beta)
         assert build_y_ball(pair, 0) == {e}
-        assert len(calls) == 4
+        assert orbits == [pair.gp.identity]
+        assert powers == {pair.gp: [1], pair.gp_ambient: [1]}
 
     def test_no_ambient_ball_is_enumerated(self, pairs, monkeypatch):
         def refuse(self, radius, max_elements=None):
@@ -567,43 +617,57 @@ class TestCommonComplexSearch:
         assert build_y_ball(pairs["mixed"], 2) == expected
 
     def test_no_ambient_word_is_normalized(self, pairs, monkeypatch):
-        # the search, its E-orbits, the residual checks and the images form
-        # one-letter products; factorize normalizes its original-group part
-        # once per call
+        # the search, its E-orbits, the parts it carries, the orbits'
+        # checks and the images form one-letter products; nothing is
+        # factorised and no word of any of the three groups is normalized
         p = pairs["mixed"]
         ball = build_ball(p.graph, 2)
         ball_doubled = build_ball(p.doubled, 2)
         calls = {p.gp: 0, p.gp_doubled: 0, p.gp_ambient: 0}
-        factorized = []
-        normalize, factorize = GraphProduct.normalize, DJPair.factorize
+        products = {p.gp: 0, p.gp_doubled: 0, p.gp_ambient: 0}
+        normalize, times = GraphProduct.normalize, GraphProduct.times
 
         def counting_normalize(self, word):
             calls[self] += 1
             return normalize(self, word)
 
-        def counting_factorize(self, g):
-            factorized.append(g)
-            return factorize(self, g)
+        def counting_times(self, x, s, e):
+            products[self] += 1
+            return times(self, x, s, e)
+
+        def refuse(self, g):
+            raise AssertionError("factorize called")
 
         monkeypatch.setattr(GraphProduct, "normalize", counting_normalize)
-        monkeypatch.setattr(DJPair, "factorize", counting_factorize)
+        monkeypatch.setattr(GraphProduct, "times", counting_times)
+        monkeypatch.setattr(DJPair, "factorize", refuse)
+        monkeypatch.setattr(DJPair, "factorize_doubled", refuse)
         build_y_ball(p, 2)
         _images(p, ball.vertices, p.beta)
         _images(p, ball_doubled.vertices, p.alpha)
-        assert calls == {p.gp: len(factorized), p.gp_doubled: 0, p.gp_ambient: 0}
-        assert factorized
+        assert calls == {p.gp: 0, p.gp_doubled: 0, p.gp_ambient: 0}
+        assert products[p.gp] and products[p.gp_ambient]
 
     def test_factorize_calls_do_not_follow_the_hash_seed(self, monkeypatch):
+        # the search calls no factorize, and its one-letter products in both
+        # groups and its orbit checks are as many under every hash seed
         code = textwrap.dedent(
             """
             from gpcubes.dj import DJPair, build_y_ball
-            from gpcubes.groups import parse_graph
-            calls = []
-            factorize = DJPair.factorize
-            DJPair.factorize = lambda self, g: calls.append(g) or factorize(self, g)
+            from gpcubes.groups import GraphProduct, parse_graph
+            calls = {"factorize": 0, "beta": 0, "times": 0}
+            def count(cls, name):
+                method = getattr(cls, name)
+                def counting(*args):
+                    calls[name] += 1
+                    return method(*args)
+                setattr(cls, name, counting)
+            count(DJPair, "factorize")
+            count(DJPair, "beta")
+            count(GraphProduct, "times")
             pair = DJPair(parse_graph("a:inf\\nu:3\\nb:inf\\nedge a u\\n"))
             build_y_ball(pair, 2)
-            print(len(calls))
+            print(calls["factorize"], calls["beta"], calls["times"])
             """
         )
         counts = []
@@ -611,8 +675,27 @@ class TestCommonComplexSearch:
             monkeypatch.setenv("PYTHONHASHSEED", seed)
             proc = fresh_python(code)
             assert proc.returncode == 0, proc.stderr
-            counts.append(int(proc.stdout))
-        assert counts[0] == counts[1] > 0
+            counts.append(tuple(map(int, proc.stdout.split())))
+        assert counts[0] == counts[1]
+        factorized, orbits, products = counts[0]
+        assert factorized == 0 and orbits > 0 and products > 0
+
+    def test_budget_counts_every_formed_element(self, monkeypatch):
+        # Z^16 at r = 0: the identity's orbit alone has 2^16 members, and the
+        # search stops at the budget, not after forming the orbit
+        names = "abcdefghijklmnop"
+        z16 = LabeledGraph(names, dict.fromkeys(names), itertools.combinations(names, 2))
+        pair = DJPair(z16)
+        products = []
+        times = GraphProduct.times
+        monkeypatch.setattr(
+            GraphProduct,
+            "times",
+            lambda self, x, s, e: products.append(s) or times(self, x, s, e),
+        )
+        with pytest.raises(BudgetExceededError):
+            build_y_ball(pair, 0, max_elements=1000)
+        assert 900 <= len(products) <= 1000
 
 
 class TestOrderPreserved:

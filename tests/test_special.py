@@ -1,6 +1,6 @@
 import pytest
 
-from gpcubes.groups import GraphProduct, parse_graph
+from gpcubes.groups import parse_graph
 from gpcubes.cubes import build_ball
 from gpcubes.special import (
     check_free_kernel_action,
